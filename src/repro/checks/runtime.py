@@ -21,8 +21,9 @@ checker     invariants (hook points)
             ``host.memory.BufferPool``)
 ``lba``     Fig. 4a mapping: chunk-granular translation, 2-bit SSD id,
             injective valid entries, cleared entries read back as zero
-            (``core.lba_mapping``); CoW refcount shadow: no shared
-            chunk freed while references remain (``core.volumes``)
+            (``core.lba_mapping``); CoW refcount shadow: no chunk freed
+            while referenced or mapped (``core.volumes``), no drive
+            write into a shared chunk (``nvme.ssd``)
 ``qos``     Fig. 5 conservation: per-namespace FIFO admission order,
             token non-negativity, buffered = admitted - fast-passed,
             passed accounting (``core.qos``)
@@ -223,7 +224,7 @@ class CheckContext:
             ring.checks = self
 
     def bind_ssd(self, ssd) -> None:
-        if self.prp:
+        if self.prp or self.lba:
             ssd.checks = self
 
     def bind_engine(self, engine) -> None:
@@ -378,6 +379,8 @@ class CheckContext:
         in bits [63:56], a multiple of the page size, so ``% PAGE_SIZE``
         sees only the host offset bits.
         """
+        if not self.prp:
+            return  # a drive armed for the lba checker alone
         self._note("prp")
         if not pages:
             self._fail("prp", f"{where}: empty PRP chain for {length}B", span=span)
@@ -507,14 +510,43 @@ class CheckContext:
 
     def on_chunk_free(self, vm, phys: tuple) -> None:
         """Hook when a chunk returns to the engine free list: it must
-        hold zero shadow references — freeing a chunk a snapshot or
-        clone still maps would corrupt that volume."""
+        hold zero shadow references, and no live namespace or snapshot
+        may still map it — freeing a chunk a volume still maps would
+        hand that volume's data to the next allocation."""
         self._note("lba")
         shadow = self._vol_shadow(vm)
         if shadow.get(phys, 0) != 0:
             self._fail("lba", "shared chunk freed while refcount > 0",
                        phys=phys, shadow=shadow.get(phys, 0))
         shadow.pop(phys, None)
+        holders = [key for key, ens in vm.engine.namespaces.items()
+                   if phys in map(tuple, ens.chunks)]
+        holders += [name for name, snap in vm.snapshots.items()
+                    if phys in snap["chunks"]]
+        if holders:
+            self._fail("lba", "chunk freed while still mapped",
+                       phys=phys, mapped_by=sorted(holders))
+
+    def on_backend_write(self, ssd, slba: int, nblocks: int,
+                         span=None) -> None:
+        """Hook where a drive executes a WRITE, engine-forwarded and
+        passthrough alike: the physical chunks it lands on must not be
+        shared — a shared chunk must have been CoW-faulted apart first."""
+        for vm in self._vol_objs:
+            slots = vm.engine.adaptor.slots
+            ssd_id = next((i for i, slot in enumerate(slots)
+                           if getattr(slot, "ssd", None) is ssd), None)
+            if ssd_id is None:
+                continue
+            self._note("lba")
+            shadow = self._vol_refs[id(vm)]
+            cs = vm.engine.chunk_blocks
+            for chunk in range(slba // cs, (slba + nblocks - 1) // cs + 1):
+                refs = shadow.get((ssd_id, chunk), 0)
+                if refs > 1:
+                    self._fail("lba", "drive write lands on a shared chunk",
+                               span=span, ssd_id=ssd_id, chunk=chunk,
+                               refcount=refs)
 
     def on_lba_translate(self, table, host_lba: int, ssd_id: int,
                          plba: int) -> None:

@@ -571,31 +571,31 @@ def _exercise_qos_checker():
     return ctx
 
 
-def _exercise_push_checker():
-    """Drive the push checker through one installed-program lookup.
+def _exercise_feature_checkers(names: list[str]):
+    """Drive the push and lba checkers through a pushdown write on a clone.
 
-    Reference cases never install a pushdown program, so a checked run
-    would report zero ``push`` coverage; this micro-world installs a
-    chase program and executes one shadow invocation so ``repro check``
-    proves the sandbox-confinement hooks executed.  Own CheckContext for
-    the same simulator-isolation reason as the qos micro-world.
+    Reference cases never install a pushdown program or clone a volume,
+    so a checked run would report zero ``push`` coverage and never reach
+    the ``lba`` checker's CoW hooks; this micro-world installs a
+    cond_write program on a thin clone and executes one shadow
+    invocation, whose committing write CoW-faults the shared chunk and
+    then lands on the private copy.  Own CheckContext for the same
+    simulator-isolation reason as the qos micro-world.
     """
     from .baselines import build_bmstore
     from .checks import CheckContext
-    from .push import chase_program
+    from .push import cond_write_program
 
-    ctx = CheckContext(checkers=["push"])
+    ctx = CheckContext(checkers=names)
     rig = build_bmstore(num_ssds=1, checks=ctx)
-    fn = rig.provision("pushchk", 8 * 1024 * 1024)
-    driver = rig.baremetal_driver(fn)
+    rig.provision("golden", 8 * 1024 * 1024)
+    rig.engine.volume_manager().clone_volume("golden", "pushchk")
+    driver = rig.baremetal_driver(rig.engine.bind_namespace("pushchk", 10))
 
     def proc():
-        yield driver.install_push_program(chase_program([[0, 64]]))
-        yield driver.push_exec({
-            "carry": False, "key": b"k",
-            "candidates": [{"index_lba": 0, "data_base": 1,
-                            "shadow_ptr": 2, "hit": True}],
-        })
+        yield driver.install_push_program(cond_write_program([[0, 64]]))
+        yield driver.push_exec({"carry": False, "lba": 0,
+                                "expected_seq": 1, "current_seq": 1})
 
     rig.sim.spawn(proc())
     rig.sim.run()
@@ -633,9 +633,10 @@ def _cmd_check(args) -> int:
     qos_ctx = _exercise_qos_checker()
     for name, count in qos_ctx.summary().items():
         coverage[name] = coverage.get(name, 0) + count
-    if "push" in coverage:
-        push_ctx = _exercise_push_checker()
-        coverage["push"] += push_ctx.summary()["push"]
+    names = [name for name in ("push", "lba") if name in coverage]
+    if names:
+        for name, count in _exercise_feature_checkers(names).summary().items():
+            coverage[name] += count
 
     payload.update({
         "scheme": args.scheme,

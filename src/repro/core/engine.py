@@ -33,6 +33,7 @@ from ..nvme.ssd import NVMeSSD
 from ..obs import IOSpan, MetricsRegistry
 from ..pcie.fabric import PCIeFabric
 from ..sim import BandwidthLink, Event, Resource, SimulationError, Simulator
+from ..sim.units import PAGE_SIZE
 from .axi import AXIBus
 from .dma_routing import (
     DMA_MODELS,
@@ -453,7 +454,9 @@ class BMSEngine:
         Requires the namespace to live on exactly one back-end drive as
         one contiguous ascending physical extent, because the device
         then translates LBAs with a single constant offset — there is
-        no per-command mapping stage left to scatter extents.
+        no per-command mapping stage left to scatter extents — and to
+        share no chunk with a snapshot or clone, because no CoW fault
+        runs either.
         """
         ens = self.namespaces.get(key)
         if ens is None:
@@ -479,6 +482,14 @@ class BMSEngine:
                     f"passthrough requires one contiguous physical extent; "
                     f"{key} is fragmented on SSD {ssd_id}"
                 )
+        if self.volumes is not None and any(
+            self.volumes.is_shared(tuple(phys)) for phys in ens.chunks
+        ):
+            # the drive would write shared chunks in place, never faulting
+            raise SimulationError(
+                f"passthrough requires private chunks; {key} shares chunks "
+                "with a snapshot or clone"
+            )
         fn = self.sriov.function_by_id(fn_id)
         translation = DMATranslation(
             fn_id=fn_id,
@@ -651,57 +662,23 @@ class BMSEngine:
             yield from self.push.execute(fn, qid, sqe, ens)
             return
 
-        nblocks = sqe.num_blocks
-        length = nblocks * LBA_BYTES
+        length = sqe.num_blocks * LBA_BYTES
         yield self._pipeline.acquire()
         yield self.sim.timeout(self.timings.issue_ns)
         self._pipeline.release()
         yield self.sim.timeout(self.timings.pipeline_ns)
 
-        span = sqe.span
-        if sqe.opcode == int(IOOpcode.WRITE):
-            # CoW: a write to a shared chunk faults (allocate, copy,
-            # remap, decref parent) *before* translation sees the entry
-            if self.volumes is not None:
-                yield from self.volumes.on_write(ens, sqe.slba, nblocks,
-                                                 span=span)
-            # live migration: feed the dirty-chunk bitmap
-            if ens.dirty_chunks is not None:
-                cs = ens.table.chunk_blocks
-                ens.dirty_chunks.update(
-                    range(sqe.slba // cs, (sqe.slba + nblocks - 1) // cs + 1))
+        forwarded = yield from self.backend_io(
+            ens, sqe.opcode, sqe.slba, sqe.num_blocks, sqe.payload, sqe.span,
+            self._host_prps(fn, sqe, length), self._host_done(fn, qid, sqe),
+        )
+        if forwarded:
+            self._account_io(fn.fn_id, sqe.opcode, length, ns_key=fn.ns_key)
 
-        # ② LBA mapping
-        try:
-            extents = ens.table.translate_extent(sqe.slba, nblocks)
-        except SimulationError as exc:
-            from ..checks.runtime import InvariantViolation
-
-            if isinstance(exc, InvariantViolation):
-                raise  # a checker violation must surface, not complete as EIO
-            self._fn_stats[fn.fn_id].errors += 1
-            if self.obs is not None:
-                self.obs.counter("ns_errors", ns=fn.ns_key).inc()
-            self.post_front_cqe(fn, qid, sqe.cid, int(StatusCode.LBA_OUT_OF_RANGE), 0,
-                                span=span)
-            return
-        if sqe.slba + nblocks > ens.namespace.num_blocks:
-            self._fn_stats[fn.fn_id].errors += 1
-            if self.obs is not None:
-                self.obs.counter("ns_errors", ns=fn.ns_key).inc()
-            self.post_front_cqe(fn, qid, sqe.cid, int(StatusCode.LBA_OUT_OF_RANGE), 0,
-                                span=span)
-            return
-
-        if span is not None:
-            span.stamp("lba_map", self.sim.now)
-
-        # ② QoS: over-threshold commands sit in the command buffer
-        yield self.qos.admit(fn.ns_key, length, span=span)
-        if span is not None:
-            span.stamp("qos", self.sim.now)
-
-        # resolve the host PRP pages (fetch the PRP list if present)
+    def _host_prps(self, fn: FrontEndFunction, sqe: SQE, length: int):
+        """Host stage of :meth:`backend_io`: resolve the guest's PRP
+        chain (fetching the PRP list if present) and tag every page
+        with the function id as a global PRP (paper Fig. 4b)."""
         npages = len(pages_for(sqe.prp1, length))
         if npages <= 2:
             host_pages = [sqe.prp1] if npages == 1 else [sqe.prp1, sqe.prp2]
@@ -712,89 +689,179 @@ class BMSEngine:
             host_pages = [sqe.prp1, *entry.entries[: npages - 1]]
         if self.checks is not None:
             self.checks.on_prp_chain(
-                host_pages, length, span=span,
+                host_pages, length, span=sqe.span,
                 memory_name=self.host.memory.name, where=self.name,
             )
+        fn_id = fn.fn_id
+        return [encode_global_prp(fn_id, addr) for addr in host_pages]
 
-        # ③ forward one back-end command per extent, tracking fan-in
-        state = {"remaining": len(extents), "status": int(StatusCode.SUCCESS),
-                 "lists": []}
-        block_off = 0
-        for ssd_id, plba, cnt in extents:
-            frag_pages = host_pages[block_off : block_off + cnt]
-            frag_len = cnt * LBA_BYTES
-            prp1g, prp2g, list_addr = self._build_global_prps(fn.fn_id, frag_pages)
-            if list_addr is not None:
-                state["lists"].append((list_addr, (len(frag_pages) - 1) * 8))
-            payload = None
-            if sqe.payload is not None:
-                payload = sqe.payload[block_off * LBA_BYTES :][:frag_len]
-            fwd = alloc_sqe(
-                opcode=sqe.opcode, cid=0, nsid=1, slba=plba, nlb=cnt - 1,
-                prp1=prp1g, prp2=prp2g, payload=payload,
-                submit_time_ns=self.sim.now,
-            )
-            if span is not None:
-                fwd.span = span  # the back-end SSD stamps ssd_dma on it
-            slot = self.adaptor.slot_for(ssd_id)
-            slot.forward(fwd, self._make_fanin(fn, qid, sqe, state))
-            block_off += cnt
-        if span is not None:
-            span.stamp("forward", self.sim.now)
+    def _host_done(self, fn: FrontEndFunction, qid: int, sqe: SQE):
+        """Completion of a host command: count a failure, relay the CQE."""
+        def on_done(status: int) -> None:
+            if status != int(StatusCode.SUCCESS):
+                self._fn_stats[fn.fn_id].errors += 1
+            self.post_front_cqe(fn, qid, sqe.cid, status, 0, span=sqe.span)
 
-        self._account_io(fn.fn_id, sqe.opcode, length, ns_key=fn.ns_key)
+        return on_done
 
     def _handle_flush(self, fn: FrontEndFunction, qid: int, sqe: SQE, ens: EngineNamespace):
         yield self.sim.timeout(self.timings.pipeline_ns)
         ssd_ids = sorted({ssd_id for ssd_id, _ in ens.chunks})
-        state = {"remaining": len(ssd_ids), "status": int(StatusCode.SUCCESS), "lists": []}
+        on_complete = self._fanin(len(ssd_ids), (), sqe.span,
+                                  self._host_done(fn, qid, sqe))
         for ssd_id in ssd_ids:
             fwd = alloc_sqe(opcode=int(IOOpcode.FLUSH), cid=0, nsid=1,
                             submit_time_ns=self.sim.now)
-            self.adaptor.slot_for(ssd_id).forward(
-                fwd, self._make_fanin(fn, qid, sqe, state)
-            )
+            self.adaptor.slot_for(ssd_id).forward(fwd, on_complete)
 
-    def _make_fanin(self, fn, qid, sqe, state):
+    # ------------------------------------------------------------ back-end I/O
+    def backend_io(self, ens: EngineNamespace, opcode: int, lba: int,
+                   nblocks: int, payload, span: Optional[IOSpan], stage,
+                   on_done):
+        """Generator: the back-end leg of one data command (Fig. 6 ②–⑥).
+
+        Every data command the engine sends to its drives comes through
+        here, host I/O and pushdown hops alike, so the CoW fault, the
+        live-migration dirty bitmap, LBA translation, QoS admission, the
+        PRP-list build and the fan-in each run once per command.
+
+        ``stage`` is the issuer's generator run between QoS admission and
+        forwarding; it returns the back-end addresses of the data pages
+        (host: the guest pages as global PRPs; pushdown: an engine
+        buffer).  ``on_done(status)`` fires once the last extent
+        completes, or at once with ``LBA_OUT_OF_RANGE`` when translation
+        fails.  Returns True when the command was forwarded.
+        """
+        if opcode == int(IOOpcode.WRITE):
+            # CoW: a write to a shared chunk faults (allocate, copy,
+            # remap, decref parent) *before* translation sees the entry
+            if self.volumes is not None:
+                yield from self.volumes.on_write(ens, lba, nblocks, span=span)
+            # live migration: feed the dirty-chunk bitmap
+            if ens.dirty_chunks is not None:
+                cs = ens.table.chunk_blocks
+                ens.dirty_chunks.update(
+                    range(lba // cs, (lba + nblocks - 1) // cs + 1))
+
+        # ② LBA mapping
+        try:
+            extents = ens.table.translate_extent(lba, nblocks)
+            in_range = lba + nblocks <= ens.namespace.num_blocks
+        except SimulationError as exc:
+            from ..checks.runtime import InvariantViolation
+
+            if isinstance(exc, InvariantViolation):
+                raise  # a checker violation must surface, not complete as EIO
+            in_range = False
+        if not in_range:
+            if self.obs is not None:
+                self.obs.counter("ns_errors", ns=ens.key).inc()
+            on_done(int(StatusCode.LBA_OUT_OF_RANGE))
+            return False
+        if span is not None:
+            span.stamp("lba_map", self.sim.now)
+
+        # ② QoS: over-threshold commands sit in the command buffer
+        yield self.qos.admit(ens.key, nblocks * LBA_BYTES, span=span)
+        if span is not None:
+            span.stamp("qos", self.sim.now)
+        pages = yield from stage
+
+        # ③ forward one back-end command per extent, tracking fan-in
+        lists: list[tuple[int, int]] = []
+        on_complete = self._fanin(len(extents), lists, span, on_done)
+        block_off = 0
+        for ssd_id, plba, cnt in extents:
+            frag_pages = pages[block_off : block_off + cnt]
+            prp1, prp2, list_addr = self._build_prps(frag_pages)
+            if list_addr is not None:
+                lists.append((list_addr, (len(frag_pages) - 1) * 8))
+            frag_payload = None
+            if payload is not None:
+                frag_payload = payload[block_off * LBA_BYTES :][: cnt * LBA_BYTES]
+            fwd = alloc_sqe(
+                opcode=opcode, cid=0, nsid=1, slba=plba, nlb=cnt - 1,
+                prp1=prp1, prp2=prp2, payload=frag_payload,
+                submit_time_ns=self.sim.now,
+            )
+            if span is not None:
+                fwd.span = span  # the back-end SSD stamps ssd_dma on it
+            self.adaptor.slot_for(ssd_id).forward(fwd, on_complete)
+            block_off += cnt
+        if span is not None:
+            span.stamp("forward", self.sim.now)
+        return True
+
+    def bounce_io(self, ens: EngineNamespace, opcode: int, lba: int,
+                  nblocks: int, payload, span: Optional[IOSpan],
+                  stage_ns: int):
+        """Generator: :meth:`backend_io` through an engine bounce buffer,
+        for commands the engine issues itself (pushdown hops); the buffer
+        is taken after ``stage_ns`` of issuer work.  Returns
+        ``(status, data)``, ``data`` being the read bytes, if any."""
+        length = nblocks * LBA_BYTES
+        buf = None
+
+        def stage():
+            nonlocal buf
+            yield self.sim.timeout(stage_ns)
+            buf = self._prp_pool.get(length)
+            return [buf + i * PAGE_SIZE for i in range(nblocks)]
+
+        done = self.sim.event(name=f"{self.name}.bounce")
+        yield from self.backend_io(ens, opcode, lba, nblocks, payload, span,
+                                   stage(), done.succeed)
+        status = yield done
+        data = None
+        if buf is not None:
+            if status == int(StatusCode.SUCCESS) and opcode == int(IOOpcode.READ):
+                data = self._pool_memory(buf).mem_read(buf, length)
+            self._prp_pool.put(buf, length)
+        return status, data
+
+    def _fanin(self, count: int, lists, span: Optional[IOSpan], on_done):
+        """Completion callback shared by ``count`` back-end commands: the
+        last one frees the PRP lists and reports the (last failing)
+        status to ``on_done``."""
+        state = [count, int(StatusCode.SUCCESS)]
+
         def on_complete(status: int) -> None:
             if status != int(StatusCode.SUCCESS):
-                state["status"] = status
-            state["remaining"] -= 1
-            if state["remaining"] == 0:
-                for addr, size in state["lists"]:
+                state[1] = status
+            state[0] -= 1
+            if state[0] == 0:
+                for addr, size in lists:
                     # drop the PRPList object before the buffer recycles:
                     # page-rounded buckets can hand this address to a
                     # data read, whose mem_read must see bytes, not a
                     # stale object
-                    mem = self.chip_memory
-                    if self.cxl is not None:
-                        mem = self.cxl.owner_memory(addr)
-                    mem.pop_obj(addr)
+                    self._pool_memory(addr).pop_obj(addr)
                     self._prp_pool.put(addr, size)
-                if state["status"] != int(StatusCode.SUCCESS):
-                    self._fn_stats[fn.fn_id].errors += 1
-                span = sqe.span
                 if span is not None:
                     span.stamp("backend_done", self.sim.now)
-                self.post_front_cqe(fn, qid, sqe.cid, state["status"], 0,
-                                    span=span)
+                on_done(state[1])
 
         return on_complete
 
-    def _build_global_prps(self, fn_id: int, pages: list[int]):
-        """Convert host PRPs to global PRPs (paper Fig. 4b, step ⑤ prep)."""
-        gp = [encode_global_prp(fn_id, addr) for addr in pages]
-        if len(gp) == 1:
-            return gp[0], 0, None
-        if len(gp) == 2:
-            return gp[0], gp[1], None
-        size = (len(gp) - 1) * 8
+    def _build_prps(self, pages: list[int]):
+        """PRP fields for back-end page addresses (paper Fig. 4b, step ⑤
+        prep); more than two pages park a PRP list in engine memory."""
+        if len(pages) == 1:
+            return pages[0], 0, None
+        if len(pages) == 2:
+            return pages[0], pages[1], None
+        size = (len(pages) - 1) * 8
         list_addr = self._prp_pool.get(size)
-        mem = self.chip_memory
+        self._pool_memory(list_addr).store_obj(list_addr,
+                                              PRPList(list_addr, pages[1:]))
+        return pages[0], list_addr, list_addr
+
+    def _pool_memory(self, addr: int) -> HostMemory:
+        """The memory a pooled engine buffer lives in: chip memory, or
+        off-card when the CXL tier spilled or borrowed it."""
         if self.cxl is not None:
-            mem = self.cxl.owner_memory(list_addr)  # spilled lists live off-card
-        mem.store_obj(list_addr, PRPList(list_addr, gp[1:]))
-        return gp[0], list_addr, list_addr
+            return self.cxl.owner_memory(addr)
+        return self.chip_memory
 
     # ----------------------------------------------------- DMA request routing
     def _descriptor_engine(self) -> DescriptorRingDMA:

@@ -14,17 +14,23 @@ unmodified translation hardware model:
 * **snapshots** — a point-in-time freeze of a volume's chunk list,
   holding a reference on every chunk so later writes to the origin
   cannot free it from under the snapshot;
-* **CoW faulting** — the engine write path consults the manager before
-  translation; the first write to a *shared* chunk allocates a fresh
-  physical chunk, charges a modeled copy latency, remaps the table
-  entry, and drops the reference on the parent chunk.
+* **CoW faulting** — the engine's back-end path consults the manager
+  before translating any write, host or pushdown; the first write to a
+  *shared* chunk allocates a fresh physical chunk, charges a modeled
+  copy latency, copies the parent's written blocks, remaps the table
+  entry, and drops the reference on the parent chunk.  A second writer
+  to a chunk whose fault is still in flight waits for it and then
+  finds the chunk private.
 
 A chunk is shared iff its refcount exceeds one; the *last* holder
 writes in place, so a fully-diverged clone pays no further CoW tax.
 Refcounts are per ``(ssd_id, physical_chunk)`` — exactly the coordinate
 the packed 8-bit mapping entry encodes — and the lba checker shadows
-them (:meth:`CheckContext.on_chunk_free` fails if a chunk is freed
-while still referenced).
+them: a chunk must not be freed while referenced or mapped, and no
+drive may execute a write into a chunk that is still shared.
+Passthrough bypasses the engine, so it excludes sharing both ways: a
+namespace with shared chunks cannot enter passthrough, and a volume in
+passthrough cannot be snapshotted or cloned.
 
 The manager is dormant by default (``engine.volumes is None``): worlds
 that never call :meth:`BMSEngine.volume_manager` execute byte-identical
@@ -72,6 +78,8 @@ class VolumeManager:
         #: per-volume CoW fault counts (global total in ``cow_faults``)
         self.faults_by_volume: dict[str, int] = {}
         self.cow_faults = 0
+        #: (volume key, chunk index) -> writers parked behind its fault
+        self._faulting: dict[tuple[str, int], list] = {}
         self.clones_created = 0
         self.snapshots_created = 0
         #: bound CheckContext (lba checker shadows refcounts); None = dormant
@@ -143,6 +151,7 @@ class VolumeManager:
         ens = self.engine.namespaces.get(source)
         if ens is None:
             raise SimulationError(f"no volume or snapshot named {source}")
+        self._refuse_passthrough(ens)
         self.adopt(source)
         return list(ens.chunks), ens.namespace.num_blocks, source
 
@@ -153,6 +162,7 @@ class VolumeManager:
         ens = self.engine.namespaces.get(volume)
         if ens is None:
             raise SimulationError(f"no volume {volume}")
+        self._refuse_passthrough(ens)
         self.adopt(volume)
         chunks = tuple(tuple(phys) for phys in ens.chunks)
         self.snapshots[snapshot] = {
@@ -166,6 +176,15 @@ class VolumeManager:
         if self.obs is not None:
             self.obs.counter("snapshots_created").inc()
         return self.volume_stat(snapshot)
+
+    def _refuse_passthrough(self, ens) -> None:
+        """Passthrough writes go to the drive in place, never faulting:
+        sharing a passthrough volume's chunks would let them corrupt the
+        snapshot or clone."""
+        if ens.bound_fn in self.engine._passthrough:
+            raise SimulationError(
+                f"volume {ens.key} is in passthrough mode; its in-place "
+                "writes would corrupt a snapshot or clone")
 
     def delete_snapshot(self, snapshot: str) -> None:
         snap = self.snapshots.pop(snapshot, None)
@@ -239,15 +258,28 @@ class VolumeManager:
         first = slba // cs
         last = (slba + max(1, nblocks) - 1) // cs
         for idx in range(first, min(last, len(ens.chunks) - 1) + 1):
+            if (ens.key, idx) in self._faulting:
+                yield from self._await_fault(ens.key, idx)
             phys = tuple(ens.chunks[idx])
             if self.refcounts.get(phys, 1) > 1:
                 yield from self._cow_fault(ens, idx, phys, span)
 
+    def _await_fault(self, key: str, idx: int):
+        """Park behind the in-flight fault of chunk ``idx`` of ``key``;
+        the writer then finds the chunk private instead of faulting the
+        parent a second time."""
+        while (key, idx) in self._faulting:
+            wake = self.engine.sim.event(name="cow.wait")
+            self._faulting[(key, idx)].append(wake)
+            yield wake
+
     def _cow_fault(self, ens, idx: int, old: tuple[int, int], span=None):
         """First write to a shared chunk: allocate, copy, remap, decref."""
         new_ssd, new_chunk = self._alloc_chunk(prefer=old[0])
+        self._faulting[(ens.key, idx)] = []
         # the chunk copy is the only simulated cost of the fault
         yield self.engine.sim.timeout(self.cow_copy_ns)
+        self._copy_blocks(old, (new_ssd, new_chunk))
         self.refcounts[(new_ssd, new_chunk)] = 1
         if self.checks is not None:
             self.checks.on_chunk_incref(self, (new_ssd, new_chunk), 1)
@@ -265,6 +297,18 @@ class VolumeManager:
             self.obs.counter("cow_faults", ns=ens.key).inc()
         if span is not None:
             span.note_fault("cow_fault")
+        for wake in self._faulting.pop((ens.key, idx)):
+            wake.succeed()
+
+    def _copy_blocks(self, old: tuple[int, int], new: tuple[int, int]) -> None:
+        """The fault's data copy: the new chunk takes the parent chunk's
+        stored blocks (untimed; ``cow_copy_ns`` already charged it)."""
+        slot_for = self.engine.adaptor.slot_for
+        src = getattr(slot_for(old[0]), "ssd", None)
+        dst = getattr(slot_for(new[0]), "ssd", None)
+        if src is not None and dst is not None:
+            cs = self.engine.chunk_blocks
+            src.copy_blocks(old[1] * cs, cs, dst, new[1] * cs)
 
     def _alloc_chunk(self, prefer: int) -> tuple[int, int]:
         """A free physical chunk, same-SSD preferred (deterministic)."""

@@ -303,6 +303,8 @@ class NVMeSSD:
             return int(StatusCode.SUCCESS), 0
 
         if opcode == int(IOOpcode.WRITE):
+            if self.checks is not None:
+                self.checks.on_backend_write(self, slba, nblocks, span=span)
             payload = yield from self._dma_in(pages, length, sqe.payload is not None)
             if sqe.payload is not None:
                 payload = sqe.payload  # authoritative copy from the submitter
@@ -381,6 +383,21 @@ class NVMeSSD:
         for i in range(nblocks):
             chunk = payload[i * LBA_BYTES : (i + 1) * LBA_BYTES]
             self._blocks[slba + i] = chunk.ljust(LBA_BYTES, b"\0")
+
+    def copy_blocks(self, slba: int, nblocks: int, dst: "NVMeSSD",
+                    dst_lba: int) -> None:
+        """Make ``dst``'s blocks at ``dst_lba`` mirror this drive's stored
+        blocks in ``[slba, slba + nblocks)``, sparsely: only written
+        blocks are copied.  Untimed; the caller charges the copy."""
+        end = slba + nblocks
+        dst_end = dst_lba + nblocks
+        stale = [lba for lba in dst._blocks if dst_lba <= lba < dst_end]
+        for lba in stale:
+            del dst._blocks[lba]
+        for lba, data in [(lba, data) for lba, data in self._blocks.items()
+                          if slba <= lba < end]:
+            dst._blocks[dst_lba + lba - slba] = data
+            dst._data_ranges_written = True
 
     def _load_blocks(self, slba: int, nblocks: int) -> Optional[bytes]:
         if not self._data_ranges_written:

@@ -8,9 +8,13 @@ None`` and execute byte-identical event sequences.
 The interpreter runs inside the engine's command path: a ``PUSH_EXEC``
 vendor I/O command names an invocation object parked at its PRP page;
 the interpreter fetches it, runs the namespace's installed program,
-issues the backend reads itself (each one QoS-admitted, window-checked,
-translated through the mapping table, and forwarded through the normal
-adaptor slots), and parks a result object back at the same page.
+issues the backend commands itself, and parks a result object back at
+the same page.  Each hop is window-checked here and then handed to
+:meth:`~repro.core.engine.BMSEngine.backend_io`, the engine's one
+back-end path: like host I/O it CoW-faults shared chunks of a thin
+clone, marks its chunk dirty during a migration pre-copy, is
+translated and QoS-admitted, and is forwarded through the adaptor
+slots.  This module keeps no datapath of its own.
 
 Sandboxing is enforced twice: the runtime re-checks every invocation
 LBA against the installed program's windows (``PUSH_SANDBOX_FAULT`` on
@@ -32,8 +36,7 @@ import struct
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from ..nvme.command import alloc_sqe
-from ..nvme.spec import LBA_BYTES, IOOpcode, StatusCode
+from ..nvme.spec import IOOpcode, StatusCode
 from ..sim import SimulationError
 from ..sim.units import PAGE_SIZE
 from .program import PushCosts, PushProgram, validate_program
@@ -214,15 +217,12 @@ class PushManager:
         result = PushResult()
         try:
             if kind == "chase":
-                status = yield from self._run_chase(fn, ens, entry,
-                                                    invocation, result, span)
+                run = self._run_chase
             elif kind == "filter":
-                status = yield from self._run_filter(fn, ens, entry,
-                                                     invocation, result, span)
+                run = self._run_filter
             else:
-                status = yield from self._run_cond_write(fn, ens, entry,
-                                                         invocation, result,
-                                                         span)
+                run = self._run_cond_write
+            status = yield from run(ens, entry, invocation, result, span)
         except _SandboxEscape:
             entry.sandbox_faults += 1
             if self.obs is not None:
@@ -249,103 +249,30 @@ class PushManager:
         engine.post_front_cqe(fn, qid, sqe.cid, status, 0, span=span)
 
     # ------------------------------------------------------- backend hops
-    def _backend_io(self, fn, ens, entry, opcode: int, lba: int,
-                    nblocks: int, payload, span):
+    def _hop(self, ens, entry, opcode: int, lba: int, nblocks: int,
+             payload, span):
         """One program-issued backend command; returns (status, data).
 
         The checker observes the access *before* the runtime window
         gate so an out-of-range program is caught even if the inline
-        enforcement is ever reverted (and vice versa).
+        enforcement is ever reverted (and vice versa).  Past the
+        sandbox, the hop is an ordinary engine back-end command: it
+        CoW-faults, dirty-marks and is QoS-admitted like host I/O.
         """
-        engine = self.engine
-        program = entry.program
         if self.checks is not None:
             self.checks.on_push_io(self, ens.key, lba, nblocks, span=span)
-        if not program.admits(lba, nblocks):
+        if not entry.program.admits(lba, nblocks):
             raise _SandboxEscape(lba, nblocks)
-        # pushdown hops are still tenant I/O: each one is QoS-admitted
-        yield engine.qos.admit(fn.ns_key, nblocks * LBA_BYTES, span=span)
-        yield engine.sim.timeout(self.costs.hop_ns)
-        try:
-            extents = ens.table.translate_extent(lba, nblocks)
-        except SimulationError as exc:
-            from ..checks.runtime import InvariantViolation
-
-            if isinstance(exc, InvariantViolation):
-                raise
-            return int(StatusCode.LBA_OUT_OF_RANGE), None
-
-        length = nblocks * LBA_BYTES
-        buf = engine._prp_pool.get(length)
-        pages = [buf + i * PAGE_SIZE for i in range(nblocks)]
-        done = engine.sim.event(name="push.hop")
-        state = {"remaining": len(extents), "status": int(StatusCode.SUCCESS)}
-
-        def on_complete(status: int) -> None:
-            if status != int(StatusCode.SUCCESS):
-                state["status"] = status
-            state["remaining"] -= 1
-            if state["remaining"] == 0:
-                done.succeed(state["status"])
-
-        lists = []
-        block_off = 0
-        for ssd_id, plba, cnt in extents:
-            frag_pages = pages[block_off : block_off + cnt]
-            prp1, prp2, list_addr = self._chip_prps(frag_pages)
-            if list_addr is not None:
-                lists.append((list_addr, (len(frag_pages) - 1) * 8))
-            frag_payload = None
-            if payload is not None:
-                frag_payload = payload[block_off * LBA_BYTES :][: cnt * LBA_BYTES]
-            fwd = alloc_sqe(
-                opcode=opcode, cid=0, nsid=1, slba=plba, nlb=cnt - 1,
-                prp1=prp1, prp2=prp2, payload=frag_payload,
-                submit_time_ns=engine.sim.now,
-            )
-            if span is not None:
-                fwd.span = span  # the back-end SSD stamps ssd_dma per hop
-            engine.adaptor.slot_for(ssd_id).forward(fwd, on_complete)
-            block_off += cnt
-        status = yield done
-        for addr, size in lists:
-            # drop the PRPList object before the buffer recycles (a
-            # later data read at this address must see bytes)
-            self._list_memory(addr).pop_obj(addr)
-            engine._prp_pool.put(addr, size)
-        data = None
-        if status == int(StatusCode.SUCCESS) and opcode == int(IOOpcode.READ):
-            data = engine.chip_memory.mem_read(buf, length)
-        engine._prp_pool.put(buf, length)
+        status, data = yield from self.engine.bounce_io(
+            ens, opcode, lba, nblocks, payload, span, self.costs.hop_ns)
         if opcode == int(IOOpcode.READ):
             entry.backend_reads += 1
         else:
             entry.backend_writes += 1
         return status, data
 
-    def _chip_prps(self, pages: list[int]):
-        """PRP fields for a chip-memory buffer (untagged back-end space)."""
-        if len(pages) == 1:
-            return pages[0], 0, None
-        if len(pages) == 2:
-            return pages[0], pages[1], None
-        from ..nvme.prp import PRPList
-
-        size = (len(pages) - 1) * 8
-        list_addr = self.engine._prp_pool.get(size)
-        self._list_memory(list_addr).store_obj(list_addr,
-                                               PRPList(list_addr, pages[1:]))
-        return pages[0], list_addr, list_addr
-
-    def _list_memory(self, addr: int):
-        """The memory a pooled PRP-list buffer lives in (spilled lists
-        live off-card when the CXL tier is armed)."""
-        if self.engine.cxl is not None:
-            return self.engine.cxl.owner_memory(addr)
-        return self.engine.chip_memory
-
     # ---------------------------------------------------------------- ops
-    def _run_chase(self, fn, ens, entry, inv, result: PushResult, span):
+    def _run_chase(self, ens, entry, inv, result: PushResult, span):
         """read -> compare -> resubmit pointer chase over candidates."""
         program = entry.program
         carry = bool(inv.get("carry"))
@@ -355,8 +282,8 @@ class PushManager:
         for idx, cand in enumerate(candidates):
             if result.hops + 2 > program.max_hops:
                 break  # bounded: never start a candidate we cannot finish
-            status, raw = yield from self._backend_io(
-                fn, ens, entry, int(IOOpcode.READ),
+            status, raw = yield from self._hop(
+                ens, entry, int(IOOpcode.READ),
                 int(cand["index_lba"]), 1, None, span)
             result.hops += 1
             if status != int(StatusCode.SUCCESS):
@@ -368,8 +295,8 @@ class PushManager:
                 block_idx = cand.get("shadow_ptr")
             if block_idx is None:
                 continue  # key precedes this table's range: no data hop
-            status, raw = yield from self._backend_io(
-                fn, ens, entry, int(IOOpcode.READ),
+            status, raw = yield from self._hop(
+                ens, entry, int(IOOpcode.READ),
                 int(cand["data_base"]) + block_idx, 1, None, span)
             result.hops += 1
             if status != int(StatusCode.SUCCESS):
@@ -399,7 +326,7 @@ class PushManager:
             best = int.from_bytes(value[:8], "little")
         return best
 
-    def _run_filter(self, fn, ens, entry, inv, result: PushResult, span):
+    def _run_filter(self, ens, entry, inv, result: PushResult, span):
         """Filter/aggregate-on-read over one bounded contiguous range."""
         program = entry.program
         carry = bool(inv.get("carry"))
@@ -407,8 +334,8 @@ class PushManager:
         nblocks = int(inv.get("nblocks", 1))
         if not 1 <= nblocks <= program.max_fanout:
             return int(StatusCode.INVALID_FIELD)
-        status, raw = yield from self._backend_io(
-            fn, ens, entry, int(IOOpcode.READ), base_lba, nblocks, None, span)
+        status, raw = yield from self._hop(
+            ens, entry, int(IOOpcode.READ), base_lba, nblocks, None, span)
         result.hops += 1
         if status != int(StatusCode.SUCCESS):
             return status
@@ -425,13 +352,13 @@ class PushManager:
                 result.records = matches
         return int(StatusCode.SUCCESS)
 
-    def _run_cond_write(self, fn, ens, entry, inv, result: PushResult, span):
+    def _run_cond_write(self, ens, entry, inv, result: PushResult, span):
         """Key-versioned conditional write: read, compare seq, commit."""
         carry = bool(inv.get("carry"))
         lba = int(inv.get("lba", 0))
         expected = inv.get("expected_seq")
-        status, raw = yield from self._backend_io(
-            fn, ens, entry, int(IOOpcode.READ), lba, 1, None, span)
+        status, raw = yield from self._hop(
+            ens, entry, int(IOOpcode.READ), lba, 1, None, span)
         result.hops += 1
         if status != int(StatusCode.SUCCESS):
             return status
@@ -445,8 +372,8 @@ class PushManager:
             return int(StatusCode.SUCCESS)  # lost the race: not committed
         yield self.engine.sim.timeout(self.costs.write_ns)
         payload = inv.get("payload") if carry else None
-        status, _ = yield from self._backend_io(
-            fn, ens, entry, int(IOOpcode.WRITE), lba, 1, payload, span)
+        status, _ = yield from self._hop(
+            ens, entry, int(IOOpcode.WRITE), lba, 1, payload, span)
         result.hops += 1
         if status != int(StatusCode.SUCCESS):
             return status

@@ -2,6 +2,7 @@
 
 import json
 
+from repro.checks import CheckContext
 from repro.cli import main
 
 
@@ -18,7 +19,16 @@ def test_check_static_json(capsys):
     assert payload == {"static_findings": []}
 
 
-def test_check_runtime_reports_full_coverage(capsys):
+def test_check_runtime_reports_full_coverage(capsys, monkeypatch):
+    write_side = []
+    hook = CheckContext.on_backend_write
+
+    def counted(self, ssd, slba, nblocks, span=None):
+        before = self.counts.get("lba", 0)
+        hook(self, ssd, slba, nblocks, span=span)
+        write_side.append(self.counts["lba"] - before)
+
+    monkeypatch.setattr(CheckContext, "on_backend_write", counted)
     assert main(["check", "--case", "rand-r-1", "--seed", "3", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert payload["violation"] is None
@@ -26,6 +36,9 @@ def test_check_runtime_reports_full_coverage(capsys):
     # every named checker must have actually executed
     assert set(coverage) == {"ring", "prp", "lba", "qos", "kernel", "push"}
     assert all(count > 0 for count in coverage.values())
+    # lba coverage includes the drive-side "no write into a shared
+    # chunk" check, not only translation and refcount hooks
+    assert sum(write_side) > 0
 
 
 def test_check_runtime_subset(capsys):

@@ -14,6 +14,7 @@ import pytest
 from repro.baselines import build_bmstore
 from repro.checks import InvariantViolation
 from repro.core.lba_mapping import CHUNK_BYTES
+from repro.core.volumes import VolumeManager
 from repro.experiments import volumes_demo
 from repro.sim import SimulationError
 
@@ -187,3 +188,186 @@ def test_volume_stat_payload_deterministic_across_workers():
 def test_run_cell_reproducible():
     cell = volumes_demo.VolumeCell(name="x", seed=123)
     assert volumes_demo.run_cell(cell) == volumes_demo.run_cell(cell)
+
+
+# ------------------------------------------------------- CoW data & races
+def block(tag: bytes) -> bytes:
+    return tag.ljust(4096, b"\0")
+
+
+def checked_golden(checks, chunks=1, num_ssds=1):
+    """A golden volume with its own driver, under ``checks``."""
+    rig = build_bmstore(num_ssds=num_ssds, seed=11, checks=checks)
+    golden = rig.baremetal_driver(rig.provision("golden", chunks * CHUNK_BYTES))
+    return rig, rig.engine.volume_manager(), golden
+
+
+def read_back(rig, driver, lba):
+    def flow():
+        info = yield driver.read(lba, 1, want_data=True)
+        assert info.ok
+        return info.data
+
+    return run_one(rig, flow())
+
+
+def test_cow_fault_copies_the_parent_chunks_written_blocks():
+    """Golden writes LBA 5; the clone's first write (LBA 4) faults the
+    chunk apart, and the clone's LBA 5 must still read golden's bytes."""
+    rig, vm, golden = checked_golden("all")
+
+    def seed():
+        yield golden.write(5, 1, payload=block(b"GOLD5"))
+
+    run_one(rig, seed())
+    clone = clone_driver(rig, vm, "golden", "c0", fn_id=10)
+
+    def diverge():
+        yield clone.write(4, 1, payload=block(b"CLONE4"))
+
+    run_one(rig, diverge())
+    assert vm.cow_faults == 1
+    assert read_back(rig, clone, 5) == block(b"GOLD5")
+    assert read_back(rig, clone, 4) == block(b"CLONE4")
+    assert read_back(rig, golden, 4) != block(b"CLONE4")
+
+
+def concurrent_first_writes(rig, vm):
+    """Two clone writes into one shared chunk, issued back to back."""
+    clone = clone_driver(rig, vm, "golden", "c0", fn_id=10)
+
+    def flow():
+        first = clone.write(0, 1, payload=block(b"FIRST"))
+        second = clone.write(1, 1, payload=block(b"SECOND"))
+        assert (yield first).ok and (yield second).ok
+
+    run_one(rig, flow())
+    return clone
+
+
+def test_concurrent_first_writes_fault_a_shared_chunk_once():
+    rig, vm, _golden = checked_golden("all")
+    golden_chunk = tuple(rig.engine.namespaces["golden"].chunks[0])
+    clone = concurrent_first_writes(rig, vm)
+    assert vm.cow_faults == 1
+    free = rig.engine._free_chunks[golden_chunk[0]]
+    assert golden_chunk[1] not in free            # golden's chunk stays live
+    mapped = {tuple(p) for ens in rig.engine.namespaces.values()
+              for p in ens.chunks}
+    assert set(vm.refcounts) == mapped            # no leaked chunk
+    assert read_back(rig, clone, 0) == block(b"FIRST")
+    assert read_back(rig, clone, 1) == block(b"SECOND")
+
+
+# ------------------------------------------------------------ passthrough
+def test_passthrough_refuses_a_namespace_with_shared_chunks():
+    rig, vm, golden = checked_golden("all")
+    clone_driver(rig, vm, "golden", "c0", fn_id=10)
+    with pytest.raises(SimulationError, match="shares chunks"):
+        rig.engine.enable_passthrough("c0")
+    with pytest.raises(SimulationError, match="shares chunks"):
+        rig.engine.enable_passthrough("golden")
+
+
+def test_snapshot_and_clone_refuse_a_passthrough_source():
+    rig, vm, _golden = checked_golden("all")
+    rig.engine.enable_passthrough("golden")
+    with pytest.raises(SimulationError, match="passthrough"):
+        vm.create_snapshot("golden", "golden@t0")
+    with pytest.raises(SimulationError, match="passthrough"):
+        vm.clone_volume("golden", "c0")
+    assert not vm.snapshots and "c0" not in rig.engine.namespaces
+
+
+# ----------------------------------------- revert detection, both ways
+# Each CoW bypass has an inline fix and an lba-checker invariant.  With
+# the fix monkeypatched away the armed checker must raise; with the
+# checkers off the fix alone must keep golden's bytes intact.
+
+def _no_wait(self, key, idx):
+    return
+    yield
+
+
+def test_double_fault_revert_trips_the_lba_checker(monkeypatch):
+    monkeypatch.setattr(VolumeManager, "_await_fault", _no_wait)
+    rig, vm, _golden = checked_golden("all")
+    with pytest.raises(InvariantViolation, match="freed while still mapped"):
+        concurrent_first_writes(rig, vm)
+
+
+def test_double_fault_fix_alone_keeps_golden_intact():
+    rig, vm, golden = checked_golden(False)
+
+    def seed():
+        yield golden.write(0, 1, payload=block(b"GOLD0"))
+
+    run_one(rig, seed())
+    concurrent_first_writes(rig, vm)
+    assert vm.cow_faults == 1
+    assert read_back(rig, golden, 0) == block(b"GOLD0")
+
+
+def passthrough_clone_write(rig, vm):
+    """Put clone c0 in passthrough and write LBA 4 through it."""
+    fn = rig.engine.bind_namespace("c0", 10)
+    rig.engine.enable_passthrough("c0")
+    driver = rig.baremetal_driver(fn)
+
+    def flow():
+        yield driver.write(4, 1, payload=block(b"CLONE"))
+
+    run_one(rig, flow())
+
+
+def test_passthrough_on_clone_revert_trips_the_lba_checker(monkeypatch):
+    rig, vm, _golden = checked_golden("all")
+    vm.clone_volume("golden", "c0")
+    monkeypatch.setattr(VolumeManager, "is_shared", lambda self, phys: False)
+    with pytest.raises(InvariantViolation, match="shared chunk"):
+        passthrough_clone_write(rig, vm)
+
+
+def test_clone_of_passthrough_source_revert_trips_the_lba_checker(monkeypatch):
+    rig, vm, golden = checked_golden("all")
+    rig.engine.enable_passthrough("golden")
+    monkeypatch.setattr(VolumeManager, "_refuse_passthrough", lambda self, ens: None)
+    vm.clone_volume("golden", "c0")
+
+    def flow():
+        yield golden.write(4, 1, payload=block(b"GOLD"))
+
+    with pytest.raises(InvariantViolation, match="shared chunk"):
+        run_one(rig, flow())
+
+
+def test_passthrough_refusal_alone_keeps_golden_intact():
+    rig, vm, golden = checked_golden(False)
+
+    def seed():
+        yield golden.write(4, 1, payload=block(b"GOLD"))
+
+    run_one(rig, seed())
+    vm.clone_volume("golden", "c0")
+    with pytest.raises(SimulationError, match="shares chunks"):
+        passthrough_clone_write(rig, vm)
+    assert vm.cow_faults == 0
+    assert read_back(rig, golden, 4) == block(b"GOLD")
+
+
+VOLUMES_GOLDEN_SHA = "ee5af0ddf16eb2d3f1424b459c75b9996ebf2607145ad1b9a9f4b2b719a010fb"
+
+
+def test_volumes_json_matches_golden(capsys):
+    """The demo writes no payload bytes, so the CoW block copy moves
+    nothing: the JSON stays byte-identical to the digest pinned before
+    the copy and fault serialization landed."""
+    import hashlib
+
+    from repro.cli import main
+
+    assert main(["volumes", "--cells", "4", "--seed", "7", "--workers", "1",
+                 "--json"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["rows"]
+    assert hashlib.sha256(out.encode()).hexdigest() == VOLUMES_GOLDEN_SHA

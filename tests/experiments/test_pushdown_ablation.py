@@ -48,3 +48,19 @@ def test_push_command_cli(capsys):
     assert payload["rows"][0]["ratio"] >= 2.0
     assert main(["push", "--cells", "1", "--seed", "3", "--workers", "1"]) == 0
     assert "ratio" in capsys.readouterr().out
+
+
+PUSH_GOLDEN_SHA = "2ff43d7b5f7c021db00f0166ab920d7388fdc0a5200c271f954c24643b7f0cc7"
+
+
+def test_push_json_matches_golden(capsys):
+    """Hops run through the engine's shared back-end path; with no clone
+    or migration in play that adds no event and moves no byte — the
+    digest pins the JSON this command printed before the merge."""
+    import hashlib
+
+    assert main(["push", "--cells", "4", "--seed", "7", "--workers", "1",
+                 "--json"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["rows"]
+    assert hashlib.sha256(out.encode()).hexdigest() == PUSH_GOLDEN_SHA

@@ -331,3 +331,88 @@ def test_push_exec_fails_cleanly_while_drive_removed():
     broken, healed = drive(rig, flow())
     assert not broken.ok  # the host sees a plain error status, no hang
     assert healed.ok and healed.data.found
+
+
+# ------------------------------------------------- engine write hooks
+# Pushdown hops run through the engine's one back-end path, so a
+# program's write CoW-faults a thin clone and feeds migration's dirty
+# bitmap exactly like a host write.
+
+def clone_rig(checks):
+    """Golden ``t`` holding a record at LBA 4, cloned into ``c0`` with a
+    cond_write program installed; returns (rig, golden, clone)."""
+    rig, golden = make_rig(checks=checks)
+
+    def seed():
+        yield golden.write(4, 1, payload=block(encode_record(b"k", b"gold", 5)))
+
+    drive(rig, seed())
+    rig.engine.volume_manager().clone_volume("t", "c0")
+    clone = rig.baremetal_driver(rig.engine.bind_namespace("c0", 10))
+    rig.engine.push_manager().install("c0", cond_write_program([[0, 64]]))
+    return rig, golden, clone
+
+
+def clone_cond_write(rig, clone):
+    def flow():
+        info = yield clone.push_exec({
+            "carry": True, "lba": 4, "expected_seq": 5,
+            "payload": block(encode_record(b"k", b"clone", 6)),
+        })
+        return info
+
+    return drive(rig, flow())
+
+
+def read_block(rig, driver, lba):
+    def flow():
+        info = yield driver.read(lba, 1, want_data=True)
+        return info.data
+
+    return drive(rig, flow())
+
+
+def test_cond_write_on_a_clone_cow_faults_and_spares_golden():
+    rig, golden, clone = clone_rig("all")
+    info = clone_cond_write(rig, clone)
+    assert info.ok and info.data.committed
+    assert rig.engine.volumes.cow_faults == 1
+    assert list(decode_records(read_block(rig, golden, 4))) == [(b"k", b"gold", 5)]
+    assert list(decode_records(read_block(rig, clone, 4))) == [(b"k", b"clone", 6)]
+
+
+def test_cond_write_cow_revert_trips_the_lba_checker(monkeypatch):
+    from repro.core.volumes import VolumeManager
+
+    def no_fault(self, ens, slba, nblocks, span=None):
+        return
+        yield
+
+    rig, _golden, clone = clone_rig("all")
+    monkeypatch.setattr(VolumeManager, "on_write", no_fault)
+    with pytest.raises(InvariantViolation, match="shared chunk"):
+        clone_cond_write(rig, clone)
+
+
+def test_cond_write_cow_fix_alone_keeps_golden_intact():
+    rig, golden, clone = clone_rig(False)
+    assert clone_cond_write(rig, clone).data.committed
+    assert list(decode_records(read_block(rig, golden, 4))) == [(b"k", b"gold", 5)]
+
+
+def test_cond_write_during_precopy_marks_its_chunk_dirty():
+    rig, driver = make_rig()
+    ens = rig.engine.namespaces["t"]
+
+    def flow():
+        yield driver.install_push_program(cond_write_program([[0, 64]]))
+        yield driver.write(4, 1, payload=block(encode_record(b"k", b"v", 5)))
+        ens.dirty_chunks = set()  # a pre-copy round just started
+        info = yield driver.push_exec({
+            "carry": True, "lba": 4, "expected_seq": 5,
+            "payload": block(encode_record(b"k", b"w", 6)),
+        })
+        return info
+
+    assert drive(rig, flow()).data.committed
+    assert ens.dirty_chunks == {0}
