@@ -21,11 +21,11 @@ the converted global PRP lists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from ..host.environment import Host
 from ..host.memory import BufferPool, HostMemory
-from ..nvme.command import CQE, SQE, alloc_cqe, alloc_sqe
+from ..nvme.command import SQE, alloc_cqe, alloc_sqe
 from ..nvme.namespace import Namespace
 from ..nvme.prp import PRPList, pages_for
 from ..nvme.spec import CQE_BYTES, LBA_BYTES, SQE_BYTES, IOOpcode, StatusCode
@@ -83,7 +83,8 @@ class EngineNamespace:
     #: step-⑤ routing machinery for this namespace's DMA traffic
     dma_model: str = "register"
     #: host-chunk indices written since the last pre-copy round; None =
-    #: dormant (no migration in progress — one attribute test per write)
+    #: dormant (no migration in progress — one attribute test per write).
+    #: Armed by :meth:`BMSEngine.open_dirty_tracking`.
     dirty_chunks: Optional[set] = None
 
 
@@ -456,7 +457,8 @@ class BMSEngine:
         then translates LBAs with a single constant offset — there is
         no per-command mapping stage left to scatter extents — and to
         share no chunk with a snapshot or clone, because no CoW fault
-        runs either.
+        runs either.  Refused while dirty tracking is armed on the
+        namespace (see :meth:`open_dirty_tracking`).
         """
         ens = self.namespaces.get(key)
         if ens is None:
@@ -490,6 +492,11 @@ class BMSEngine:
                 f"passthrough requires private chunks; {key} shares chunks "
                 "with a snapshot or clone"
             )
+        if ens.dirty_chunks is not None:
+            # the drive's writes would never reach the dirty bitmap
+            raise SimulationError(
+                f"passthrough refused; {key} has dirty tracking armed"
+            )
         fn = self.sriov.function_by_id(fn_id)
         translation = DMATranslation(
             fn_id=fn_id,
@@ -519,6 +526,25 @@ class BMSEngine:
             for dev_qid in binding.dev_qids.values():
                 ssd.detach_queue_pair(dev_qid)
         binding.dev_qids.clear()
+
+    def open_dirty_tracking(self, key: str, dirty: Iterable[int] = ()) -> None:
+        """Arm a namespace's live-migration dirty bitmap.
+
+        From now on every write through :meth:`backend_io` adds its host
+        chunk indices to ``ens.dirty_chunks``, seeded with ``dirty``;
+        setting the attribute back to None disarms it.  Passthrough
+        writes never reach the engine, so a namespace whose function is
+        in passthrough mode is refused.
+        """
+        ens = self.namespaces.get(key)
+        if ens is None:
+            raise SimulationError(f"no namespace {key}")
+        if ens.bound_fn in self._passthrough:
+            raise SimulationError(
+                f"dirty tracking refused; {key} is in passthrough mode, "
+                "so its writes bypass the engine"
+            )
+        ens.dirty_chunks = set(dirty)
 
     def _make_vector_raiser(self, fn: FrontEndFunction):
         def raise_vector(vector: int) -> None:

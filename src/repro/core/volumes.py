@@ -39,8 +39,6 @@ event sequences to pre-volume builds.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..nvme.namespace import Namespace
 from ..nvme.spec import LBA_BYTES
 from ..sim import SimulationError

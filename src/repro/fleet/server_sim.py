@@ -198,7 +198,7 @@ def run_server(spec: ServerRunSpec) -> dict:
             return
         # iterative pre-copy: round 0 copies everything; each later
         # round re-copies only what the write path dirtied meanwhile
-        ens.dirty_chunks = set(range(len(ens.chunks)))
+        rig.engine.open_dirty_tracking(plan.tenant, range(len(ens.chunks)))
         for _ in range(plan.rounds):
             rec["rounds"].append(len(ens.dirty_chunks))
             ens.dirty_chunks.clear()

@@ -8,25 +8,12 @@ kernel resumes a process when the event it waits on fires.
 Simulated time is an integer number of **nanoseconds**.  Using integers
 keeps event ordering exact and runs reproducible.
 
-Schedulers
-----------
-Two interchangeable event queues implement the same total order
-``(time, seq)``; select with ``REPRO_SCHED=heap|wheel`` (default
-``wheel``) or ``Simulator(sched=...)``:
-
-* ``heap`` — the reference implementation: one binary heap of
-  ``(time, seq, event)`` tuples.  Simple, obviously correct, kept
-  forever as the oracle the wheel is byte-compared against in CI.
-* ``wheel`` — a calendar queue tuned to the simulator's bimodal delay
-  distribution.  Near-term events (pipeline stages, doorbells, link
-  serialization — almost always within a few microseconds) land in
-  128 ns-wide slots inside a bounded calendar window; each occupied
-  slot is one dict bucket, and a small heap of slot numbers replaces
-  the big event heap.  Far-future events (flash service tails,
-  firmware activation timers) overflow into a plain heap and cascade
-  into the window in batches as the clock reaches them.  Ordering is
-  exactly ``(time, seq)``: the slot being drained is kept as a wee
-  heap so same-slot inserts stay ordered.
+Scheduler
+---------
+Events fire in the total order ``(time, seq)``, where ``seq`` is a
+per-simulator counter stamped at scheduling time, so same-instant
+events fire FIFO.  Future events live in one binary heap of
+``(time, seq, event)`` tuples.
 
 Fast path
 ---------
@@ -57,7 +44,6 @@ the dispatch machinery is deliberately flat:
 from __future__ import annotations
 
 import heapq
-import os
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -76,10 +62,6 @@ __all__ = [
 _TIMEOUT_POOL_CAP = 512
 _EVENT_POOL_CAP = 1024
 _PROCESS_POOL_CAP = 512
-
-#: calendar-queue geometry: 128 ns slots, 4096-slot window (~524 us)
-_WHEEL_SHIFT = 7
-_WHEEL_SLOTS = 4096
 
 
 class SimulationError(Exception):
@@ -203,13 +185,6 @@ class Event:
         """Exempt this event from kernel recycling (see module docs)."""
         self._pinned = True
         return self
-
-    def _run_callbacks(self) -> None:
-        # kept for API compatibility; the dispatch loops inline this
-        self._processed = True
-        callbacks, self.callbacks = self.callbacks, []
-        for cb in callbacks:
-            cb(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "processed" if self._processed else ("triggered" if self._triggered else "pending")
@@ -417,8 +392,8 @@ class AllOf(_Condition):
 
 
 class Simulator:
-    """The event loop: a now-bucket FIFO plus a scheduler for future
-    events (calendar queue by default, binary heap as the reference).
+    """The event loop: a now-bucket FIFO plus a binary heap of future
+    events.
 
     Parameters
     ----------
@@ -426,9 +401,6 @@ class Simulator:
         When True (default), an uncaught exception inside a process
         fails the process event instead of propagating, unless nothing
         waits on it.
-    sched:
-        ``"heap"`` or ``"wheel"``; defaults to the ``REPRO_SCHED``
-        environment variable, then ``"wheel"``.
 
     Attributes
     ----------
@@ -440,17 +412,12 @@ class Simulator:
         only the dispatch loop advances it).
     """
 
-    def __init__(self, strict: bool = True, sched: Optional[str] = None):
-        if sched is None:
-            sched = os.environ.get("REPRO_SCHED", "wheel")
-        if sched not in ("heap", "wheel"):
-            raise SimulationError(
-                f"unknown scheduler {sched!r}; REPRO_SCHED must be 'heap' or 'wheel'"
-            )
-        self.sched = sched
+    def __init__(self, strict: bool = True):
         self.now: int = 0
         #: zero-delay events at the current instant, FIFO (seq on event)
         self._nowq: deque[Event] = deque()
+        #: future events as (time, seq, event)
+        self._heap: list[tuple[int, int, Event]] = []
         self._seq = 0
         self._timeout_pool: list[Timeout] = []
         self._event_pool: list[Event] = []
@@ -459,34 +426,6 @@ class Simulator:
         self.strict = strict
         #: bound CheckContext (kernel checker); None = dormant, zero-cost
         self.checks = None
-        if sched == "wheel":
-            #: occupied calendar slots: absolute slot number -> entry list
-            self._buckets: dict[int, list] = {}
-            #: heap of occupied slot numbers (each pushed exactly once)
-            self._slot_heap: list[int] = []
-            #: far-future events beyond the calendar window
-            self._overflow: list[tuple[int, int, Event]] = []
-            #: the slot currently being drained, as a (time, seq, event)
-            #: heap so same-slot inserts keep exact order; persistent
-            #: list object (the run loop holds a local reference)
-            self._active: list[tuple[int, int, Event]] = []
-            self._active_slot = -1
-            self._wheel_limit = _WHEEL_SLOTS
-            self._insert = self._insert_wheel
-            self._heap = None
-        else:
-            self._heap: list[tuple[int, int, Event]] = []
-            self._insert = self._insert_heap
-
-    # `now` is a plain attribute for speed; `_now` remains as a
-    # compatibility alias for checkers and tests
-    @property
-    def _now(self) -> int:
-        return self.now
-
-    @_now.setter
-    def _now(self, value: int) -> None:
-        self.now = value
 
     # -- event factories --------------------------------------------------
     def event(self, name: str = "") -> Event:
@@ -596,94 +535,15 @@ class Simulator:
         return AllOf(self, events)
 
     # -- scheduling --------------------------------------------------------
-    def _schedule(self, event: Event, delay: int = 0) -> None:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        if delay == 0:
-            self._seq = seq = self._seq + 1
-            event._seq = seq
-            self._nowq.append(event)
-        else:
-            self._insert(self.now + int(delay), event)
-
-    def _insert_heap(self, when: int, event: Event) -> None:
+    def _insert(self, when: int, event: Event) -> None:
         self._seq = seq = self._seq + 1
         heapq.heappush(self._heap, (when, seq, event))
-
-    def _insert_wheel(self, when: int, event: Event) -> None:
-        self._seq = seq = self._seq + 1
-        s = when >> _WHEEL_SHIFT
-        if s <= self._active_slot:
-            # insert into the slot currently being drained: keep order
-            # by pushing into the active mini-heap
-            heapq.heappush(self._active, (when, seq, event))
-        elif s < self._wheel_limit:
-            buckets = self._buckets
-            b = buckets.get(s)
-            if b is None:
-                buckets[s] = [(when, seq, event)]
-                heapq.heappush(self._slot_heap, s)
-            else:
-                b.append((when, seq, event))
-        else:
-            heapq.heappush(self._overflow, (when, seq, event))
-
-    def _refill_wheel(self) -> bool:
-        """Advance to the next occupied calendar slot, cascading a
-        window of overflow events in first if the calendar is empty.
-        Returns False when nothing at all is scheduled."""
-        sh = self._slot_heap
-        if not sh:
-            ov = self._overflow
-            if not ov:
-                return False
-            # cascade: re-anchor the window at the earliest overflow
-            # event and pull everything now inside it into the calendar
-            base = ov[0][0] >> _WHEEL_SHIFT
-            limit = base + _WHEEL_SLOTS
-            self._wheel_limit = limit
-            buckets = self._buckets
-            heappush, heappop = heapq.heappush, heapq.heappop
-            while ov and (ov[0][0] >> _WHEEL_SHIFT) < limit:
-                entry = heappop(ov)
-                s = entry[0] >> _WHEEL_SHIFT
-                b = buckets.get(s)
-                if b is None:
-                    buckets[s] = [entry]
-                    heappush(sh, s)
-                else:
-                    b.append(entry)
-        s = heapq.heappop(sh)
-        active = self._active
-        active += self._buckets.pop(s)
-        heapq.heapify(active)
-        self._active_slot = s
-        return True
 
     def _pop_next(self) -> Optional[Event]:
         """The next live event in (time, seq) order, advancing the
         clock; None when nothing is scheduled.  Defunct events are
         discarded without running their callbacks."""
         nowq = self._nowq
-        if self.sched == "wheel":
-            active = self._active
-            while True:
-                if nowq:
-                    if active and active[0][0] <= self.now and active[0][1] < nowq[0]._seq:
-                        event = heapq.heappop(active)[2]
-                    else:
-                        event = nowq.popleft()
-                elif active:
-                    when = active[0][0]
-                    event = heapq.heappop(active)[2]
-                    self.now = when
-                else:
-                    if not self._refill_wheel():
-                        return None
-                    continue
-                if event._defunct:
-                    continue
-                return event
         heap = self._heap
         while True:
             if nowq:
@@ -739,14 +599,6 @@ class Simulator:
         """Time of the next scheduled event, or None if none is queued."""
         if self._nowq:
             return self.now
-        if self.sched == "wheel":
-            if self._active:
-                return self._active[0][0]
-            if self._slot_heap:
-                return min(self._buckets[self._slot_heap[0]])[0]
-            if self._overflow:
-                return self._overflow[0][0]
-            return None
         return self._heap[0][0] if self._heap else None
 
     def run(self, until: Any = None) -> Any:
@@ -778,9 +630,7 @@ class Simulator:
         epool = self._event_pool
         ppool = self._process_pool
         checks = self.checks
-        wheel = self.sched == "wheel"
-        active = self._active if wheel else self._heap
-        refill = self._refill_wheel if wheel else None
+        heap = self._heap
         now = self.now
         dispatched = 0
         try:
@@ -788,18 +638,16 @@ class Simulator:
                 if stop is not None and stop._processed:
                     break
                 if nowq:
-                    if active and active[0][0] <= now and active[0][1] < nowq[0]._seq:
-                        event = heappop(active)[2]
+                    if heap and heap[0][0] <= now and heap[0][1] < nowq[0]._seq:
+                        event = heappop(heap)[2]
                     else:
                         event = nowq.popleft()
-                elif active:
-                    when = active[0][0]
+                elif heap:
+                    when = heap[0][0]
                     if horizon is not None and when > horizon:
                         break
-                    event = heappop(active)[2]
+                    event = heappop(heap)[2]
                     self.now = now = when
-                elif wheel and refill():
-                    continue
                 else:
                     if stop is not None:
                         raise SimulationError(

@@ -1,15 +1,13 @@
 """The SubmissionPolicy value object: parsing, validation, presets, and
-the deprecated per-rig kwarg shims."""
+run_case's rejection of the removed per-rig policy kwargs."""
 
 import pytest
 
 from repro.host.policy import (
     DEFAULT_POLICY,
-    DMA_MODELS,
     DOORBELL_MODES,
     POLICY_PRESETS,
     SubmissionPolicy,
-    _merge_deprecated_kwargs,
     parse_policy,
     resolve_policy,
 )
@@ -110,39 +108,15 @@ def test_resolve_policy_types():
         resolve_policy(42)
 
 
-# ------------------------------------------------- deprecated kwarg shims
-def test_deprecated_kwargs_map_onto_policy_fields():
-    assert _merge_deprecated_kwargs(None) == DEFAULT_POLICY
-    assert (_merge_deprecated_kwargs(None, doorbell_mode="shadow")
-            == SubmissionPolicy(doorbell="shadow"))
-    assert (_merge_deprecated_kwargs(None, batch_doorbells=16)
-            == SubmissionPolicy(doorbell="batched", batch_depth=16))
-    # a bare coalesce count gets the controller's default timer
-    assert (_merge_deprecated_kwargs(None, coalesce=4)
-            == SubmissionPolicy(coalesce_threshold=4,
-                                coalesce_timeout_ns=8_000))
-    assert (_merge_deprecated_kwargs(None, dma_model="descriptor")
-            == SubmissionPolicy(dma="descriptor"))
-
-
-def test_deprecated_kwargs_layer_over_an_explicit_policy():
-    base = SubmissionPolicy(doorbell="shadow", dma="descriptor")
-    merged = _merge_deprecated_kwargs(base, batch_doorbells=4)
-    assert merged.doorbell == "batched"
-    assert merged.batch_depth == 4
-    assert merged.dma == "descriptor"  # untouched fields survive
-
-
-def test_run_case_warns_on_deprecated_kwargs():
+# ------------------------------------------------- removed kwarg spellings
+def test_run_case_rejects_removed_policy_kwargs():
+    """The pre-policy spellings are gone: run_case no longer maps them
+    onto a SubmissionPolicy, so the scheme runner refuses them."""
     from repro.experiments.common import run_case
     from repro.sim.units import MS
     from repro.workloads.fio import FioSpec
 
     spec = FioSpec("policy-probe", "randread", 4096, iodepth=4, numjobs=1,
                    runtime_ns=2 * MS, ramp_ns=MS // 2)
-    with pytest.warns(DeprecationWarning, match="doorbell_mode"):
-        old = run_case("native", spec, seed=3, doorbell_mode="shadow")
-    new = run_case("native", spec, seed=3,
-                   policy=SubmissionPolicy(doorbell="shadow"))
-    assert old.fio.ios == new.fio.ios
-    assert old.avg_latency_us == new.avg_latency_us
+    with pytest.raises(TypeError, match="doorbell_mode"):
+        run_case("native", spec, seed=3, doorbell_mode="shadow")

@@ -407,7 +407,7 @@ def test_cond_write_during_precopy_marks_its_chunk_dirty():
     def flow():
         yield driver.install_push_program(cond_write_program([[0, 64]]))
         yield driver.write(4, 1, payload=block(encode_record(b"k", b"v", 5)))
-        ens.dirty_chunks = set()  # a pre-copy round just started
+        rig.engine.open_dirty_tracking("t")  # a pre-copy round just started
         info = yield driver.push_exec({
             "carry": True, "lba": 4, "expected_seq": 5,
             "payload": block(encode_record(b"k", b"w", 6)),

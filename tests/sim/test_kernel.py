@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import Interrupt, SimulationError, Simulator
+from repro.sim.units import MS
 
 
 def test_timeout_advances_clock():
@@ -284,3 +285,173 @@ def test_peek_reports_next_event_time():
     assert sim.peek() is None
     sim.timeout(25)
     assert sim.peek() == 25
+
+
+def test_peek_reports_earliest_across_now_bucket_and_heap():
+    sim = Simulator()
+    sim.timeout(7 * MS)
+    assert sim.peek() == 7 * MS
+    sim.timeout(12)
+    assert sim.peek() == 12
+    sim.timeout(0)  # the now-bucket wins over any heap entry
+    assert sim.peek() == 0
+
+
+# ------------------------------------------------------- far-future events
+def test_far_events_fire_in_time_order_without_delaying_near_ones():
+    sim = Simulator()
+    fired = []
+    times = [3, MS - 1, MS + 1, 2 * MS + 9, 10 * MS, 40, 10 * MS + 1]
+    for when in times:
+        t = sim.timeout(when)
+        t.callbacks.append(lambda ev, w=when: fired.append((sim.now, w)))
+    sim.run()
+    assert fired == [(w, w) for w in sorted(times)]
+
+
+def test_far_event_fires_at_exact_time():
+    sim = Simulator()
+    fired = []
+    t = sim.timeout(3 * MS + 17)
+    t.callbacks.append(lambda ev: fired.append(sim.now))
+    sim.run()
+    assert fired == [3 * MS + 17]
+    assert sim.now == 3 * MS + 17
+
+
+def test_callback_insert_between_queued_events_stays_ordered():
+    """An event a callback schedules behind an already-queued one must
+    not be lost or dispatched ahead of it."""
+    sim = Simulator()
+    fired = []
+    base = 10 * MS
+
+    def first(ev):
+        fired.append("first")
+        later = sim.timeout((base + 3) - sim.now)
+        later.callbacks.append(lambda e: fired.append("injected"))
+
+    t1 = sim.timeout(base + 1)
+    t1.callbacks.append(first)
+    t2 = sim.timeout(base + 2)
+    t2.callbacks.append(lambda ev: fired.append("second"))
+    sim.run()
+    assert fired == ["first", "second", "injected"]
+
+
+def test_same_instant_far_events_fire_fifo():
+    sim = Simulator()
+    fired = []
+    for tag in ("first", "second"):
+        t = sim.timeout(2 * MS)
+        t.callbacks.append(lambda ev, tag=tag: fired.append(tag))
+    sim.run()
+    assert fired == ["first", "second"]
+
+
+def test_cancelled_far_event_is_skipped_and_not_counted():
+    sim = Simulator()
+    fired = []
+    doomed = sim.event(name="far-doomed")
+    doomed.succeed(delay=MS + 50)
+    doomed.callbacks.append(lambda ev: fired.append("BUG"))
+    anchor = sim.timeout(MS + 60)
+    anchor.pin()
+    doomed.cancel()
+    sim.run()
+    assert fired == []
+    assert sim.now == MS + 60
+    assert anchor.processed and not doomed.processed
+    assert sim.events_processed == 1
+
+
+def test_cancelled_event_skipped_without_dispatch():
+    sim = Simulator()
+    fired = []
+    doomed = sim.event(name="doomed")
+    doomed.succeed("never", delay=5)
+    live = sim.event(name="live")
+    live.succeed("yes", delay=5)
+    live.callbacks.append(lambda ev: fired.append(ev.value))
+    doomed.callbacks.append(lambda ev: fired.append("BUG"))
+    doomed.cancel()
+    processed_before = sim.events_processed
+    sim.run()
+    assert fired == ["yes"]
+    # the defunct event was discarded, never counted as dispatched
+    assert sim.events_processed == processed_before + 1
+
+
+def test_step_with_only_cancelled_events_raises_simulation_error():
+    sim = Simulator()
+    for delay in (0, MS + 1):
+        doomed = sim.event()
+        doomed.succeed(delay=delay)
+        doomed.cancel()
+    with pytest.raises(SimulationError, match="no events are scheduled"):
+        sim.step()
+
+
+def test_step_after_far_event_drains_raises():
+    sim = Simulator()
+    sim.timeout(MS + 1)
+    sim.step()
+    assert sim.now == MS + 1
+    with pytest.raises(SimulationError, match="no events are scheduled"):
+        sim.step()
+
+
+# ------------------------------------------------------ pinned dispatch order
+#: dispatch order of ``_mixed_workload`` as ``(now, tag)``; any change to
+#: it changes every seeded simulation output in the repo
+MIXED_WORKLOAD_ORDER = [
+    (0, "t0"), (0, "t11"), (0, "t22"), (0, "t33"),
+    (0, "z0"), (0, "z1"), (0, "z2"), (0, "z3"), (0, "z4"),
+    (0, "z5"), (0, "z6"), (0, "z7"), (0, "z8"), (0, "z9"),
+    (1, "t8"), (1, "t19"), (1, "t30"),
+    (2, "t5"), (2, "t16"), (2, "t27"), (2, "t38"),
+    (3, "t2"), (3, "t13"), (3, "t24"), (3, "t35"), (3, "p0"), (3, "c0"),
+    (4, "t10"), (4, "t21"), (4, "t32"),
+    (5, "t7"), (5, "t18"), (5, "t29"),
+    (6, "t4"), (6, "t15"), (6, "t26"), (6, "t37"), (6, "p1"),
+    (7, "t1"), (7, "t12"), (7, "t23"), (7, "t34"),
+    (8, "t9"), (8, "t20"), (8, "t31"),
+    (9, "t6"), (9, "t17"), (9, "t28"), (9, "t39"), (9, "p2"),
+    (10, "t3"), (10, "t14"), (10, "t25"), (10, "t36"),
+    (11, "c1"), (12, "p3"), (15, "p4"), (16, "c3"), (19, "c2"), (24, "c4"),
+]
+
+
+def _mixed_workload(sim):
+    """A deterministic burst of same-tick timeouts, zero-delay events,
+    and callback-spawned work; returns the dispatch tags in order."""
+    fired = []
+
+    def note(tag):
+        return lambda ev: fired.append((sim.now, tag))
+
+    for i in range(40):
+        # many collisions: delays repeat so events share ticks
+        t = sim.timeout((i * 7) % 11)
+        t.callbacks.append(note(f"t{i}"))
+    for i in range(10):
+        ev = sim.event()
+        ev.succeed(delay=0)
+        ev.callbacks.append(note(f"z{i}"))
+
+    def proc():
+        for i in range(5):
+            yield sim.timeout(3)
+            fired.append((sim.now, f"p{i}"))
+            chained = sim.timeout((i * 5) % 11)
+            chained.callbacks.append(note(f"c{i}"))
+
+    sim.process(proc(), name="mixer")
+    sim.run()
+    return fired
+
+
+def test_mixed_workload_matches_pinned_dispatch_order():
+    """Exact (time, seq) order, FIFO among same-tick events, is what the
+    repo's byte-identical seeded outputs rest on."""
+    assert _mixed_workload(Simulator()) == MIXED_WORKLOAD_ORDER
