@@ -174,7 +174,7 @@ class MDevNVMeTarget:
                   submit_time_ns=req.start_ns)
         self._qp.sq.push(sqe)
         self._pending[cid] = (req, buf, length)
-        self.host.fabric.cpu_write(self._qp.sq_doorbell, 4)
+        self.host.fabric.cpu_post(self._qp.sq_doorbell, 4)
 
     def _mediate_complete(self, cqe) -> None:
         entry = self._pending.pop(cqe.cid, None)

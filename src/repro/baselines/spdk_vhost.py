@@ -235,7 +235,7 @@ class SPDKVhostTarget:
                     yield self.sim.timeout(cpu)
                     self._complete(ssd_index, cqe)
                 if reaped:
-                    self.host.fabric.cpu_write(qp.cq_doorbell, 4)
+                    self.host.fabric.cpu_post(qp.cq_doorbell, 4)
             if not did_work:
                 yield self.sim.timeout(cfg.poll_interval_ns)
 
@@ -267,7 +267,7 @@ class SPDKVhostTarget:
         )
         qp.sq.push(sqe)
         self._pending[(req.vdev.ssd_index, cid)] = _InflightIO(req, buf, length)
-        self.host.fabric.cpu_write(qp.sq_doorbell, 4)
+        self.host.fabric.cpu_post(qp.sq_doorbell, 4)
 
     def _complete(self, ssd_index: int, cqe) -> None:
         entry = self._pending.pop((ssd_index, cqe.cid), None)

@@ -190,7 +190,7 @@ class DescriptorRingDMA:
             self.peak_depth = len(self._fifo)
         if not self._worker_live:
             self._worker_live = True
-            self.sim.process(self._worker(), name=f"{self.name}.worker")
+            self.sim.spawn(self._worker(), name=f"{self.name}.worker")
 
     def _worker(self):
         while self._fifo:
@@ -198,15 +198,16 @@ class DescriptorRingDMA:
             self.descriptors += 1
             yield self.sim.timeout(self.per_desc_ns)
             if kind == "w":
-                self.sim.process(self._issue_write(host_addr, length, data),
-                                 name=f"{self.name}.w")
+                # a posted write, launched at this instant behind the
+                # work already queued for it (where a freshly started
+                # issuer process would run)
+                self.sim.timeout(0).callbacks.append(
+                    lambda _ev, a=host_addr, n=length, d=data:
+                        self.port.post_write(a, n, d))
             else:
-                self.sim.process(self._issue_read(host_addr, length, done),
-                                 name=f"{self.name}.r")
+                self.sim.spawn(self._issue_read(host_addr, length, done),
+                               name=f"{self.name}.r")
         self._worker_live = False
-
-    def _issue_write(self, host_addr: int, length: int, data):
-        yield self.port.mem_write(host_addr, length, data)
 
     def _issue_read(self, host_addr: int, length: int, done):
         data = yield self.port.mem_read(host_addr, length)

@@ -908,13 +908,17 @@ class BMSEngine:
         self.sim.spawn(self._route_write_proc(host_addr, length, data),
                        name=self._dmaw_pname)
 
-    def _route_write_proc(self, host_addr: int, length: int, data):
+    def _route_write_hops(self, length: int):
+        """The engine-side latency of a routed DMA write."""
         if not self.zero_copy:
             # ablation: store-and-forward through FPGA DRAM (in + out)
             yield self._chip_dram_bus.transfer(length)
             yield self._chip_dram_bus.transfer(length)
         yield self.sim.timeout(self.timings.cut_through_ns)
-        yield self.front_port.mem_write(host_addr, length, data)
+
+    def _route_write_proc(self, host_addr: int, length: int, data):
+        yield from self._route_write_hops(length)
+        self.front_port.post_write(host_addr, length, data)
 
     def route_dma_write_event(self, gaddr: int, length: int, data) -> Event:
         """Like the TLP-triggered routing, but returns the delivery event
@@ -925,10 +929,11 @@ class BMSEngine:
         done = self.sim.event(name=f"{self.name}.dmawv")
 
         def runner():
-            yield from self._route_write_proc(host_addr, length, data)
+            yield from self._route_write_hops(length)
+            yield self.front_port.mem_write(host_addr, length, data)
             done.succeed()
 
-        self.sim.process(runner(), name=f"{self.name}.dmawp")
+        self.sim.spawn(runner(), name=f"{self.name}.dmawp")
         return done
 
     def _route_dma_read(self, gaddr: int, length: int) -> Event:

@@ -99,7 +99,7 @@ class _NamespaceQoS:
         self.buffer.put((gate, nbytes, seq, span))
         if not self._dispatcher_running:
             self._dispatcher_running = True
-            self.sim.process(self._dispatch(), name="qos.dispatch")
+            self.sim.spawn(self._dispatch(), name="qos.dispatch")
         return gate
 
     def _dispatch(self):

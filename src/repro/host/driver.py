@@ -293,7 +293,7 @@ class NVMeDriver:
         if self.obs is not None:
             self._c_submitted[qid].inc()
         self._lock.release()
-        yield from self._ring_doorbell(qid, qp)
+        self._ring_doorbell(qid, qp)
 
     # ---------------------------------------------------------------- submit
     def _submit_io(
@@ -343,7 +343,7 @@ class NVMeDriver:
         for attempt in range(attempts):
             handle: dict[str, Any] = {}
             inner = self.sim.event(name=f"{self.name}.attempt")
-            self.sim.process(
+            self.sim.spawn(
                 self._submit_proc(opcode, lba, nblocks, payload, want_data,
                                   inner, handle),
                 name=f"{self.name}.submit",
@@ -472,10 +472,10 @@ class NVMeDriver:
         if self.obs is not None:
             self._c_submitted[qid].inc()
         self._lock.release()
-        yield from self._ring_doorbell(qid, qp)
+        self._ring_doorbell(qid, qp)
 
     # ---------------------------------------------------------------- doorbell
-    def _ring_doorbell(self, qid: int, qp: QueuePair):
+    def _ring_doorbell(self, qid: int, qp: QueuePair) -> None:
         """Mode-dependent doorbell after a push into ``qp.sq``.
 
         ``immediate`` is the exact legacy tail: one posted MMIO write
@@ -484,7 +484,7 @@ class NVMeDriver:
         mode = self.policy.doorbell
         if mode == "immediate" or qid == 0:
             self.stats.doorbell_mmio += 1
-            yield self.host.fabric.cpu_write(qp.sq_doorbell, 4)
+            self.host.fabric.cpu_post(qp.sq_doorbell, 4)
             return
         sq = qp.sq
         if mode == "shadow":
@@ -492,30 +492,30 @@ class NVMeDriver:
                 if sq.checks is not None:
                     sq.checks.on_db_flush(sq, 1)
                 self.stats.doorbell_mmio += 1
-                yield self.host.fabric.cpu_write(qp.sq_doorbell, 4)
+                self.host.fabric.cpu_post(qp.sq_doorbell, 4)
             else:
                 self.stats.doorbell_elided += 1
             return
         # batched: accumulate, ring on depth / ring-full / deadline
         self._unrung[qid] += 1
         if self._unrung[qid] >= self.policy.batch_depth or sq.is_full:
-            yield from self._flush_doorbell(qid, qp)
+            self._flush_doorbell(qid, qp)
         else:
             self.stats.doorbell_elided += 1
             if (self.policy.batch_timeout_ns > 0
                     and qid not in self._batch_timer_live):
                 self._batch_timer_live.add(qid)
-                self.sim.process(self._batch_deadline(qid),
-                                 name=f"{self.name}.dbflush{qid}")
+                self.sim.spawn(self._batch_deadline(qid),
+                               name=f"{self.name}.dbflush{qid}")
 
-    def _flush_doorbell(self, qid: int, qp: QueuePair):
+    def _flush_doorbell(self, qid: int, qp: QueuePair) -> None:
         batched, self._unrung[qid] = self._unrung[qid], 0
         if batched <= 0:
             return
         if qp.sq.checks is not None:
             qp.sq.checks.on_db_flush(qp.sq, batched)
         self.stats.doorbell_mmio += 1
-        yield self.host.fabric.cpu_write(qp.sq_doorbell, 4)
+        self.host.fabric.cpu_post(qp.sq_doorbell, 4)
 
     def _batch_deadline(self, qid: int):
         """Deterministic flush of a partial doorbell batch, so shallow
@@ -523,7 +523,7 @@ class NVMeDriver:
         yield self.sim.timeout(self.policy.batch_timeout_ns)
         self._batch_timer_live.discard(qid)
         if self._unrung.get(qid, 0):
-            yield from self._flush_doorbell(qid, self._qps[qid])
+            self._flush_doorbell(qid, self._qps[qid])
 
     # ------------------------------------------------------------- completion
     def _note_reclaims(self, count: int) -> None:
@@ -549,7 +549,7 @@ class NVMeDriver:
             drained += 1
             self._cqe_stores[qid].put(cqe)
         if drained:
-            yield self.host.fabric.cpu_write(qp.cq_doorbell, 4)
+            self.host.fabric.cpu_post(qp.cq_doorbell, 4)
 
     def _completion_worker(self, qid: int):
         """Per-queue softirq: completions are handled *serially*, so the
@@ -619,7 +619,7 @@ class NVMeDriver:
         payload: Any = None,
     ) -> Event:
         done = self.sim.event(name=f"{self.name}.admin")
-        self.sim.process(
+        self.sim.spawn(
             self._admin_proc(opcode, cdw10, cdw11, prp1, payload, done),
             name=f"{self.name}.adminp",
         )
@@ -640,4 +640,4 @@ class NVMeDriver:
             "span": None, "sqe": None,
         }
         self.stats.submitted += 1
-        yield self.host.fabric.cpu_write(qp.sq_doorbell, 4)
+        self.host.fabric.cpu_post(qp.sq_doorbell, 4)

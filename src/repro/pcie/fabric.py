@@ -10,13 +10,22 @@ back-end fabric).
 
 Timing model per transaction:
 
-* posted write:   tx-link serialization (+ per-hop latency) [+ target
+* write:          tx-link serialization (+ per-hop latency) [+ target
   rx-link if the window is behind another port]
 * read:           request header on tx, target access time, completion
   payload on the target->initiator path
 
 CPU-initiated MMIO (doorbells, register reads) uses :meth:`cpu_write`
 / :meth:`cpu_read`, which traverse only the target port's rx/tx links.
+
+Writes come in two forms with the same link reservations and delivery
+time.  A *posted* write (:meth:`Port.post_write`,
+:meth:`PCIeFabric.cpu_post`) is what PCIe memory writes are on the
+wire -- doorbells, MSI-X messages, DMA data: the sender gets no
+completion back, so the model schedules no completion event either.
+A *waited* write (:meth:`Port.mem_write`, :meth:`PCIeFabric.cpu_write`)
+returns an event that fires on delivery, for the callers whose next
+step must not start before the bytes land (a CQE behind its data).
 """
 
 from __future__ import annotations
@@ -91,6 +100,11 @@ class Port:
     def mem_write(self, addr: int, length: int, data: Optional[bytes] = None) -> Event:
         """DMA write toward the fabric; event fires on delivery."""
         return self.fabric._routed_write(self, addr, length, data)
+
+    def post_write(self, addr: int, length: int, data: Optional[bytes] = None) -> None:
+        """Posted DMA write: delivered like :meth:`mem_write`, but the
+        sender is told nothing, so no completion event is scheduled."""
+        self.fabric._routed_post(self, addr, length, data)
 
     def mem_read(self, addr: int, length: int) -> Event:
         """DMA read; event fires with the data when the completion lands."""
@@ -193,15 +207,11 @@ class PCIeFabric:
         return result
 
     # -- routed transactions -------------------------------------------------
-    def _routed_write(self, src: Port, addr: int, length: int, data: Optional[bytes]) -> Event:
-        handler, dst_port = self._resolve(addr)
-        nbytes = wire_bytes(length)
-        done = self.sim.pooled_event(self._wr_name)
-
-        def deliver(_ev: Event) -> None:
-            handler.mem_write(addr, length, data)
-            done.succeed()
-
+    @staticmethod
+    def _write_legs(src: Port, dst_port: Optional[Port], nbytes: int,
+                    deliver: Callable[[Event], None]) -> None:
+        """Carry a write's TLP from ``src`` to its target; ``deliver``
+        runs when the last leg lands."""
         leg1 = src.tx.transfer(nbytes)
         if dst_port is None or dst_port is src:
             leg1.callbacks.append(deliver)
@@ -211,7 +221,22 @@ class PCIeFabric:
                 dst_port.rx.transfer(nbytes).callbacks.append(deliver)
 
             leg1.callbacks.append(hop)
+
+    def _routed_write(self, src: Port, addr: int, length: int, data: Optional[bytes]) -> Event:
+        handler, dst_port = self._resolve(addr)
+        done = self.sim.pooled_event(self._wr_name)
+
+        def deliver(_ev: Event) -> None:
+            handler.mem_write(addr, length, data)
+            done.succeed()
+
+        self._write_legs(src, dst_port, wire_bytes(length), deliver)
         return done
+
+    def _routed_post(self, src: Port, addr: int, length: int, data: Optional[bytes]) -> None:
+        handler, dst_port = self._resolve(addr)
+        self._write_legs(src, dst_port, wire_bytes(length),
+                         lambda _ev: handler.mem_write(addr, length, data))
 
     def _routed_read(self, src: Port, addr: int, length: int) -> Event:
         handler, dst_port = self._resolve(addr)
@@ -257,22 +282,33 @@ class PCIeFabric:
         return done
 
     # -- CPU (root-initiated) transactions ------------------------------------
+    def _cpu_write_leg(self, handler: AddressHandler, dst_port: Optional[Port],
+                       length: int, deliver: Callable[[Event], None]) -> None:
+        """Carry a CPU write to its target; ``deliver`` runs on arrival."""
+        if dst_port is None:
+            # root-local (DRAM): no link traversal; small access cost
+            self.sim.timeout(handler.access_ns).callbacks.append(deliver)
+        else:
+            dst_port.rx.transfer(wire_bytes(length)).callbacks.append(deliver)
+
     def cpu_write(self, addr: int, length: int, data: Optional[bytes] = None) -> Event:
-        """MMIO write from the host CPU (e.g. a doorbell)."""
+        """MMIO write from the host CPU; event fires on delivery."""
         handler, dst_port = self._resolve(addr)
-        nbytes = wire_bytes(length)
         done = self.sim.pooled_event(self._cpuwr_name)
 
         def deliver(_ev: Event) -> None:
             handler.mem_write(addr, length, data)
             done.succeed()
 
-        if dst_port is None:
-            # root-local (DRAM): no link traversal; small access cost
-            self.sim.timeout(handler.access_ns).callbacks.append(deliver)
-        else:
-            dst_port.rx.transfer(nbytes).callbacks.append(deliver)
+        self._cpu_write_leg(handler, dst_port, length, deliver)
         return done
+
+    def cpu_post(self, addr: int, length: int, data: Optional[bytes] = None) -> None:
+        """Posted MMIO write from the host CPU (a doorbell): delivered
+        like :meth:`cpu_write`, with no completion event."""
+        handler, dst_port = self._resolve(addr)
+        self._cpu_write_leg(handler, dst_port, length,
+                            lambda _ev: handler.mem_write(addr, length, data))
 
     def cpu_read(self, addr: int, length: int) -> Event:
         """MMIO/DRAM read from the host CPU."""

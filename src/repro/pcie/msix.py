@@ -10,9 +10,9 @@ IRQ routines).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
-from ..sim import Event, SimulationError
+from ..sim import SimulationError
 from .fabric import Port
 
 __all__ = ["MSIXEntry", "MSIXTable", "InterruptController"]
@@ -44,13 +44,11 @@ class MSIXTable:
     def mask(self, vector: int, masked: bool = True) -> None:
         self.entry(vector).masked = masked
 
-    def raise_vector(self, port: Port, vector: int) -> Optional[Event]:
-        """Send the interrupt message; returns None if masked."""
+    def raise_vector(self, port: Port, vector: int) -> None:
+        """Post the interrupt message (nothing is sent while masked)."""
         entry = self.entry(vector)
-        if entry.masked:
-            return None
-        data = entry.data.to_bytes(4, "little")
-        return port.mem_write(entry.address, 4, data)
+        if not entry.masked:
+            port.post_write(entry.address, 4, entry.data.to_bytes(4, "little"))
 
 
 class InterruptController:

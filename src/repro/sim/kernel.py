@@ -39,6 +39,13 @@ the dispatch machinery is deliberately flat:
   container that outlives the dispatch.  Events referenced by
   conditions or by ``run(until=event)`` are pinned and never recycled;
   call :meth:`Event.pin` to keep one alive for inspection.
+* **No listener, no event**: a spawned process has no handle, so no
+  one can wait for it to end; when its generator returns it goes
+  straight back to the free list without scheduling a completion
+  event.  A :meth:`Simulator.process` handle always fires its
+  completion, because a caller may ``yield`` it at any later time.
+  Skipping an event nobody listens to leaves the ``(time, seq)`` order
+  of every other event unchanged, so outputs stay byte-identical.
 """
 
 from __future__ import annotations
@@ -277,6 +284,13 @@ class Process(Event):
         poke.callbacks.append(self._rcb)
         poke.fail(Interrupt(cause))
 
+    def _retire(self) -> None:
+        """Return a finished spawned process to the free list."""
+        self._generator = None
+        pool = self.sim._process_pool
+        if len(pool) < _PROCESS_POOL_CAP:
+            pool.append(self)
+
     def _resume(self, trigger: Event) -> None:
         self._waiting_on = None
         sim = self.sim
@@ -291,13 +305,22 @@ class Process(Event):
                     )
                 target = self._generator.throw(err)
         except StopIteration as stop:
-            self.succeed(stop.value)
+            if self._recycle:
+                # spawned: no handle exists, so nothing can listen for
+                # the completion -- retire without scheduling an event
+                self._retire()
+            else:
+                self.succeed(stop.value)
             return
         except BaseException as exc:
             if self.callbacks or not sim.strict:
                 # someone is waiting (or the user opted out of strict
-                # crash-on-unobserved): deliver the failure to them
-                self.fail(exc)
+                # crash-on-unobserved): deliver the failure to them; a
+                # spawned process has no one to deliver it to
+                if self._recycle:
+                    self._retire()
+                else:
+                    self.fail(exc)
                 return
             raise
 
@@ -497,18 +520,18 @@ class Simulator:
         """Start a fire-and-forget process whose bookkeeping object is
         recycled when it finishes.
 
-        Unlike :meth:`process` this returns no handle — by design: the
-        process object goes back to a free list the moment its
-        completion event is dispatched, so no reference may outlive it
-        (no ``interrupt``, no ``yield``-ing it, no reading ``.value``).
+        Unlike :meth:`process` this returns no handle — by design: with
+        no handle, nothing can listen for the process's end, so it
+        schedules no completion event and its object goes straight back
+        to a free list when the generator returns.  No reference may
+        outlive it (no ``interrupt``, no ``yield``-ing it, no reading
+        ``.value``).
         """
         pool = self._process_pool
         if pool:
+            # a spawned process never triggers, so a pooled one is
+            # already in its pristine state bar the name
             p = pool.pop()
-            p._value = None
-            p._ok = True
-            p._triggered = False
-            p._processed = False
             p.name = name
         else:
             p = Process.__new__(Process)
@@ -585,14 +608,9 @@ class Simulator:
                 pool = self._timeout_pool
                 if len(pool) < _TIMEOUT_POOL_CAP:
                     pool.append(event)
-            elif r == 2:
+            else:
                 pool = self._event_pool
                 if len(pool) < _EVENT_POOL_CAP:
-                    pool.append(event)
-            else:
-                event._generator = None
-                pool = self._process_pool
-                if len(pool) < _PROCESS_POOL_CAP:
                     pool.append(event)
 
     def peek(self) -> Optional[int]:
@@ -628,7 +646,6 @@ class Simulator:
         heappop = heapq.heappop
         tpool = self._timeout_pool
         epool = self._event_pool
-        ppool = self._process_pool
         checks = self.checks
         heap = self._heap
         now = self.now
@@ -670,13 +687,8 @@ class Simulator:
                     if r == 1:
                         if len(tpool) < _TIMEOUT_POOL_CAP:
                             tpool.append(event)
-                    elif r == 2:
-                        if len(epool) < _EVENT_POOL_CAP:
-                            epool.append(event)
-                    else:
-                        event._generator = None
-                        if len(ppool) < _PROCESS_POOL_CAP:
-                            ppool.append(event)
+                    elif len(epool) < _EVENT_POOL_CAP:
+                        epool.append(event)
         finally:
             self.events_processed += dispatched
 

@@ -86,8 +86,13 @@ class Resource:
 class Store:
     """An unbounded (or bounded) FIFO queue of items.
 
-    ``put`` never blocks when unbounded; ``get`` returns an event that
-    fires with the next item.
+    ``get`` returns an event that fires with the next item.  ``put``
+    never blocks when unbounded: an item that is taken at once (by a
+    waiting getter or a free place in the queue) schedules nothing, and
+    ``put`` returns an event that has already fired, so a putter that
+    yields it resumes at the current instant.  Only a ``put`` into a
+    full bounded store returns a pending event, which fires when a
+    ``get`` makes room.
     """
 
     def __init__(self, sim: Simulator, capacity: Optional[int] = None, name: str = "store"):
@@ -99,6 +104,10 @@ class Store:
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
         self._putters: Deque[tuple[Event, Any]] = deque()
+        #: returned by every put that did not block; never scheduled
+        self._accepted = Event(sim, name=self._put_name)
+        self._accepted._triggered = True
+        self._accepted._processed = True
 
     def __len__(self) -> int:
         return len(self._items)
@@ -108,14 +117,13 @@ class Store:
         return tuple(self._items)
 
     def put(self, item: Any) -> Event:
-        sim = self.sim
         if self._getters:
             self._getters.popleft().succeed(item)
-            return sim.fired_event(item, name=self._put_name)
+            return self._accepted
         if self.capacity is None or len(self._items) < self.capacity:
             self._items.append(item)
-            return sim.fired_event(item, name=self._put_name)
-        ev = sim.pooled_event(name=self._put_name)
+            return self._accepted
+        ev = self.sim.pooled_event(name=self._put_name)
         self._putters.append((ev, item))
         return ev
 

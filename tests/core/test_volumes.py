@@ -355,10 +355,14 @@ def test_passthrough_refusal_alone_keeps_golden_intact():
     assert read_back(rig, golden, 4) == block(b"GOLD")
 
 
-VOLUMES_GOLDEN_SHA = "ee5af0ddf16eb2d3f1424b459c75b9996ebf2607145ad1b9a9f4b2b719a010fb"
+#: the whole JSON, ``sim_events`` (the simulator's own cost) included
+VOLUMES_GOLDEN_SHA = "8f0fca5756fef2108f0b73dce2a37f3a2d43ae6c414f3e3676529d899c19373d"
+#: the JSON without ``sim_events``: the modelled system's behaviour,
+#: which no simulator optimisation may move
+VOLUMES_BEHAVIOUR_SHA = "d30a5a2c15ffb490dce5dfaacf294cc9c3b73748c3510ae8c71a3d5be564e674"
 
 
-def test_volumes_json_matches_golden(capsys):
+def test_volumes_json_matches_golden(capsys, behaviour_sha):
     """The demo writes no payload bytes, so the CoW block copy moves
     nothing: the JSON stays byte-identical to the digest pinned before
     the copy and fault serialization landed."""
@@ -370,4 +374,5 @@ def test_volumes_json_matches_golden(capsys):
                  "--json"]) == 0
     out = capsys.readouterr().out
     assert json.loads(out)["rows"]
+    assert behaviour_sha(out) == VOLUMES_BEHAVIOUR_SHA
     assert hashlib.sha256(out.encode()).hexdigest() == VOLUMES_GOLDEN_SHA

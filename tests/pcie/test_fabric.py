@@ -11,6 +11,7 @@ from repro.pcie import (
     SRIOVCapability,
     VendorDefinedMessage,
 )
+from repro.pcie.tlp import wire_bytes
 from repro.sim import SimulationError, Simulator
 
 
@@ -101,6 +102,65 @@ def test_peer_to_peer_write_traverses_both_ports():
     sim.run(sim.process(proc()))
     assert sink.writes
     assert sim.now >= 2 * 150  # two hops
+
+
+class _TimedSink(_Sink):
+    """A BAR handler that also records when each write lands."""
+
+    def __init__(self, sim, access_ns=10):
+        super().__init__(access_ns)
+        self.sim = sim
+        self.landed = []
+
+    def mem_write(self, addr, length, data):
+        super().mem_write(addr, length, data)
+        self.landed.append(self.sim.now)
+
+
+def _write_world(route):
+    """A fabric with two endpoints and timed sinks on the root, on
+    ``a``'s own BAR and on ``b``'s BAR; returns (sim, issue, sink)
+    where ``issue(kind)`` starts a waited or posted write on ``route``."""
+    sim = Simulator()
+    fabric = PCIeFabric(sim, hop_latency_ns=150)
+    root = _TimedSink(sim, access_ns=60)
+    fabric.set_root_handler(root)
+    a = fabric.attach("a", lanes=4)
+    b = fabric.attach("b", lanes=2)
+    own, peer = _TimedSink(sim), _TimedSink(sim)
+    a.map_window(0x1_0000_0000, 0x1000, own)
+    b.map_window(0x2_0000_0000, 0x1000, peer)
+    addr, sink = {
+        "root": (0x4000, root),
+        "same-port": (0x1_0000_0040, own),
+        "p2p": (0x2_0000_0040, peer),
+        "cpu-dram": (0x4000, root),
+        "cpu-bar": (0x2_0000_0040, peer),
+    }[route]
+
+    def issue(kind):
+        if route.startswith("cpu"):
+            return (fabric.cpu_write if kind == "waited" else fabric.cpu_post)(addr, 64, b"x" * 64)
+        return (a.mem_write if kind == "waited" else a.post_write)(addr, 64, b"x" * 64)
+
+    return sim, issue, sink
+
+
+@pytest.mark.parametrize("route", ["root", "same-port", "p2p", "cpu-dram", "cpu-bar"])
+def test_posted_write_lands_like_waited_write_minus_one_event(route):
+    sim_w, issue_w, sink_w = _write_world(route)
+    done = issue_w("waited")
+    sim_w.run()
+    assert done.processed
+
+    sim_p, issue_p, sink_p = _write_world(route)
+    assert issue_p("posted") is None
+    sim_p.run()
+
+    assert sink_p.writes == sink_w.writes == [(sink_w.writes[0][0], 64, b"x" * 64)]
+    assert sink_p.landed == sink_w.landed
+    assert sink_p.landed[0] > 0
+    assert sim_p.events_processed == sim_w.events_processed - 1
 
 
 def test_overlapping_windows_rejected():
@@ -206,7 +266,7 @@ def test_msix_end_to_end_interrupt_delivery():
     # rebuild with an IRQ window like the host does
     irq = InterruptController(base=0xFEE0_0000)
     fired = []
-    addr, data = irq.allocate(lambda v: fired.append(v))
+    addr, data = irq.allocate(lambda v: fired.append((v, sim.now)))
 
     class Root:
         access_ns = 60
@@ -226,11 +286,12 @@ def test_msix_end_to_end_interrupt_delivery():
     pf = dev.add_pf(0x10, 1, 2, bar_sizes={0: 0x1000})
     pf.msix.configure(0, addr, data)
 
-    def proc():
-        yield pf.msix.raise_vector(port, 0)
-
-    sim.run(sim.process(proc()))
-    assert fired == [data]
+    assert pf.msix.raise_vector(port, 0) is None
+    assert fired == []  # posted: nothing lands before the link delivers
+    sim.run()
+    # one 4-byte MemWrite up the device's tx link, and no other event
+    assert fired == [(data, port.tx.serialization_ns(wire_bytes(4)) + 150)]
+    assert sim.events_processed == 1
 
 
 def test_msix_masked_vector_not_delivered():
@@ -239,9 +300,19 @@ def test_msix_masked_vector_not_delivered():
     port = fabric.attach("dev0")
     dev = PCIeDevice("d")
     pf = dev.add_pf(0x10, 1, 2, bar_sizes={0: 0x1000})
-    pf.msix.configure(3, 0xFEE0_0000, 7)
+    irq = InterruptController(base=0xFEE0_0000)
+    fired = []
+    addr, data = irq.allocate(fired.append)
+    fabric.set_root_handler(irq)
+    pf.msix.configure(3, addr, data)
     pf.msix.mask(3)
-    assert pf.msix.raise_vector(port, 3) is None
+    pf.msix.raise_vector(port, 3)
+    sim.run()
+    assert fired == [] and sim.events_processed == 0
+    pf.msix.mask(3, masked=False)
+    pf.msix.raise_vector(port, 3)
+    sim.run()
+    assert fired == [data]
 
 
 def test_msix_unconfigured_vector_errors():

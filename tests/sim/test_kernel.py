@@ -297,6 +297,75 @@ def test_peek_reports_earliest_across_now_bucket_and_heap():
     assert sim.peek() == 0
 
 
+# ------------------------------------------------ no listener, no event
+def test_spawned_process_schedules_no_completion_event():
+    sim = Simulator()
+    ran = []
+
+    def job():
+        yield sim.timeout(5)
+        ran.append(sim.now)
+
+    sim.spawn(job())
+    sim.run()
+    assert ran == [5]
+    # the bootstrap and the timeout; nothing fires when the job returns
+    assert sim.events_processed == 2
+
+
+def test_spawned_process_object_is_reused_by_next_spawn():
+    sim = Simulator()
+    order = []
+
+    def job(tag):
+        yield sim.timeout(1)
+        order.append(tag)
+
+    sim.spawn(job("a"))
+    sim.run()
+    assert len(sim._process_pool) == 1
+    retired = sim._process_pool[-1]
+    sim.spawn(job("b"), name="second")
+    assert sim._process_pool == []
+    assert retired.name == "second"
+    sim.run()
+    assert order == ["a", "b"]
+    assert sim._process_pool == [retired]
+
+
+def test_process_handle_fires_completion_event():
+    sim = Simulator()
+
+    def job():
+        yield sim.timeout(5)
+        return "done"
+
+    p = sim.process(job())
+    sim.run()
+    assert p.processed and p.value == "done"
+    # bootstrap, timeout and the completion nobody listened to yet
+    assert sim.events_processed == 3
+
+
+def test_process_handle_yielded_after_it_finished():
+    sim = Simulator()
+    got = []
+
+    def job():
+        yield sim.timeout(5)
+        return "early"
+
+    p = sim.process(job())
+
+    def late_waiter():
+        yield sim.timeout(20)
+        got.append((sim.now, (yield p)))
+
+    sim.process(late_waiter())
+    sim.run()
+    assert got == [(20, "early")]
+
+
 # ------------------------------------------------------- far-future events
 def test_far_events_fire_in_time_order_without_delaying_near_ones():
     sim = Simulator()

@@ -155,6 +155,58 @@ def test_store_bounded_capacity_blocks_put():
     assert times == [0, 100, 200]
 
 
+def test_nonblocking_store_put_dispatches_nothing():
+    sim = Simulator()
+    store = Store(sim)
+    first = store.put("a")
+    store.put("b")
+    assert first.processed
+    assert sim.peek() is None
+    sim.run()
+    assert sim.events_processed == 0
+    assert store.items == ("a", "b")
+
+
+def test_store_put_to_waiting_getter_fires_only_the_get():
+    sim = Simulator()
+    store = Store(sim)
+    got = []
+
+    def consumer():
+        got.append((yield store.get()))
+
+    sim.process(consumer())
+    sim.run()
+    before = sim.events_processed
+    store.put("x")
+    sim.run()
+    assert got == ["x"]
+    # the getter's event and the consumer's completion; the put is silent
+    assert sim.events_processed == before + 2
+
+
+def test_full_bounded_store_blocks_the_putter():
+    sim = Simulator()
+    store = Store(sim, capacity=1)
+    log = []
+
+    def producer():
+        yield store.put("first")
+        log.append(("put first", sim.now))
+        yield store.put("second")
+        log.append(("put second", sim.now))
+
+    def consumer():
+        yield sim.timeout(50)
+        log.append(("got", (yield store.get()), sim.now))
+
+    sim.process(producer())
+    sim.process(consumer())
+    sim.run()
+    assert log == [("put first", 0), ("got", "first", 50), ("put second", 50)]
+    assert store.items == ("second",)
+
+
 def test_store_len_and_items():
     sim = Simulator()
     store = Store(sim)
