@@ -157,10 +157,11 @@ class CheckContext:
     """Armed invariant checkers; bind it to a world like a FaultInjector.
 
     ``checkers`` selects a subset of :data:`CHECKER_NAMES` (``None`` =
-    all).  Every check invocation increments the per-checker
+    all).  Every check invocation bumps its checker's entry in
+    :attr:`counts` in place (no call).  The per-checker
     ``invariant_checks{checker=...}`` counter on ``obs`` (when given)
-    plus the local :attr:`counts`, so clean runs can prove the hooks
-    actually executed.
+    reads those entries, summed over every context sharing the
+    registry, so clean runs can prove the hooks actually executed.
     """
 
     def __init__(self, checkers: Optional[Iterable[str]] = None, obs=None):
@@ -180,10 +181,10 @@ class CheckContext:
         self.push = "push" in self.enabled
         self.counts: dict[str, int] = {name: 0 for name in names}
         self.violations = 0
-        self._counters = {}
         if obs is not None:
-            for name in names:
-                self._counters[name] = obs.counter("invariant_checks", checker=name)
+            for name in self.counts:
+                obs.summed_counter("invariant_checks",
+                                   checker=name).track(self.counts, name)
         self._rings: dict[int, _RingState] = {}
         self._ring_objs: list = []  # keep rings alive so ids stay unique
         self._qos_states: dict[int, _QoSState] = {}
@@ -203,12 +204,6 @@ class CheckContext:
         self._last_now = 0
 
     # ------------------------------------------------------------- plumbing
-    def _note(self, checker: str) -> None:
-        self.counts[checker] += 1
-        c = self._counters.get(checker)
-        if c is not None:
-            c.inc()
-
     def _fail(self, checker: str, message: str, span=None, **context) -> None:
         self.violations += 1
         raise InvariantViolation(checker, message, span=span, **context)
@@ -273,7 +268,7 @@ class CheckContext:
     # ------------------------------------------------------- hooks: ring
     def on_sq_push(self, sq, span=None) -> None:
         """Pre-mutation hook in :meth:`SubmissionQueue.push`."""
-        self._note("ring")
+        self.counts["ring"] += 1
         state = self._ring_state(sq)
         depth = sq.depth
         if not (0 <= sq.tail < depth and 0 <= sq.head < depth):
@@ -289,7 +284,7 @@ class CheckContext:
 
     def on_sq_consume(self, sq) -> None:
         """Pre-mutation hook in :meth:`SubmissionQueue.consume_addr`."""
-        self._note("ring")
+        self.counts["ring"] += 1
         state = self._ring_state(sq)
         depth = sq.depth
         if (sq.tail - sq.head) % depth == 0:
@@ -303,7 +298,7 @@ class CheckContext:
         Runs *before* the CQ-full guard, so it independently detects the
         silent-overwrite bug even if that guard is removed.
         """
-        self._note("ring")
+        self.counts["ring"] += 1
         state = self._ring_state(cq)
         depth = cq.depth
         if not (0 <= cq.tail < depth and 0 <= cq.head < depth):
@@ -325,7 +320,7 @@ class CheckContext:
 
     def on_cq_poll(self, cq, cqe) -> None:
         """Post-success hook in :meth:`CompletionQueue.poll`."""
-        self._note("ring")
+        self.counts["ring"] += 1
         state = self._ring_state(cq)
         if state.unconsumed <= 0:
             self._fail("ring",
@@ -342,7 +337,7 @@ class CheckContext:
         """Doorbell-flush hook: a shadow/batched MMIO ring covering
         ``batched`` accumulated submissions (the shadow tail must have
         caught up with the real tail when the MMIO finally fires)."""
-        self._note("ring")
+        self.counts["ring"] += 1
         if not 1 <= batched <= sq.depth:
             self._fail("ring",
                        f"SQ{sq.sqid} doorbell flush of {batched} entries "
@@ -358,7 +353,7 @@ class CheckContext:
         """CQE-coalescing hook: completions held back awaiting the
         threshold/timer must never cover the whole ring — that would
         mean an IRQ the host cannot be owed."""
-        self._note("ring")
+        self.counts["ring"] += 1
         if not 1 <= pending < cq.depth:
             self._fail("ring",
                        f"CQ{cq.cqid} coalescer holding {pending} CQEs "
@@ -381,7 +376,7 @@ class CheckContext:
         """
         if not self.prp:
             return  # a drive armed for the lba checker alone
-        self._note("prp")
+        self.counts["prp"] += 1
         if not pages:
             self._fail("prp", f"{where}: empty PRP chain for {length}B", span=span)
         first_off = pages[0] % PAGE_SIZE
@@ -426,7 +421,7 @@ class CheckContext:
             freed.alloc(addr)
 
     def on_buffer_free(self, pool, addr: int, nbytes: int) -> None:
-        self._note("prp")
+        self.counts["prp"] += 1
         owner = self._pool_owner(pool, addr)
         freed = self._freed.setdefault(owner, _FreedRanges())
         if not freed.free(addr, nbytes):
@@ -445,7 +440,7 @@ class CheckContext:
 
     def on_lba_set(self, table, index: int, entry) -> None:
         """Hook in :meth:`MappingTable.set_entry`: injectivity (Fig. 4a)."""
-        self._note("lba")
+        self.counts["lba"] += 1
         fwd, rev = self._lba_maps(table)
         key = (entry.ssd_id, entry.base_chunk)
         claimed = rev.get(key)
@@ -470,7 +465,7 @@ class CheckContext:
         """Hook in :meth:`MappingTable.translate` just before the
         invalid-entry fault: a cleared entry must read back as zero, or
         a later re-validation of the row resurrects a dead mapping."""
-        self._note("lba")
+        self.counts["lba"] += 1
         if raw != 0:
             self._fail("lba",
                        "invalid mapping entry holds a stale packed value",
@@ -487,7 +482,7 @@ class CheckContext:
     def on_chunk_incref(self, vm, phys: tuple, count: int) -> None:
         """Hook after a VolumeManager refcount bump; ``count`` is the
         manager's new value, which the shadow must agree with."""
-        self._note("lba")
+        self.counts["lba"] += 1
         shadow = self._vol_shadow(vm)
         shadow[phys] = shadow.get(phys, 0) + 1
         if shadow[phys] != count:
@@ -497,7 +492,7 @@ class CheckContext:
     def on_chunk_decref(self, vm, phys: tuple, count: int) -> None:
         """Hook before a VolumeManager refcount drop (``count`` = value
         after the drop)."""
-        self._note("lba")
+        self.counts["lba"] += 1
         shadow = self._vol_shadow(vm)
         have = shadow.get(phys, 0)
         if have <= 0:
@@ -513,7 +508,7 @@ class CheckContext:
         hold zero shadow references, and no live namespace or snapshot
         may still map it — freeing a chunk a volume still maps would
         hand that volume's data to the next allocation."""
-        self._note("lba")
+        self.counts["lba"] += 1
         shadow = self._vol_shadow(vm)
         if shadow.get(phys, 0) != 0:
             self._fail("lba", "shared chunk freed while refcount > 0",
@@ -538,7 +533,7 @@ class CheckContext:
                            if getattr(slot, "ssd", None) is ssd), None)
             if ssd_id is None:
                 continue
-            self._note("lba")
+            self.counts["lba"] += 1
             shadow = self._vol_refs[id(vm)]
             cs = vm.engine.chunk_blocks
             for chunk in range(slba // cs, (slba + nblocks - 1) // cs + 1):
@@ -551,7 +546,7 @@ class CheckContext:
     def on_lba_translate(self, table, host_lba: int, ssd_id: int,
                          plba: int) -> None:
         """Hook in :meth:`MappingTable.translate`: eqns (1)-(4) output."""
-        self._note("lba")
+        self.counts["lba"] += 1
         cs = table.chunk_blocks
         if plba % cs != host_lba % cs:
             self._fail("lba", "translation is not chunk-granular",
@@ -575,7 +570,7 @@ class CheckContext:
 
     def on_qos_grant(self, nsq, seq: int, fast: bool, span=None) -> None:
         """Hook just before a gate succeeds (fast path or dispatcher)."""
-        self._note("qos")
+        self.counts["qos"] += 1
         state = self._qos_state(nsq)
         if not state.outstanding or state.outstanding[0] != seq:
             oldest = state.outstanding[0] if state.outstanding else None
@@ -605,8 +600,11 @@ class CheckContext:
 
     # ------------------------------------------------------ hooks: kernel
     def on_event_dispatch(self, sim, event) -> None:
-        """Per-event hook in the kernel dispatch loop (step + run)."""
-        self._note("kernel")
+        """Per-event hook in the kernel dispatch loop (step + run).
+
+        The one call a checked run adds per dispatched event: a tally
+        and two comparisons, and no further call on the clean path."""
+        self.counts["kernel"] += 1
         now = sim.now
         if now < self._last_now:
             self._fail("kernel", "simulation clock moved backwards",
@@ -628,7 +626,7 @@ class CheckContext:
         """Hook in :meth:`PushManager.install`: snapshot the declared LBA
         windows so every later program-issued I/O can be replayed against
         the *installed* confinement, not the manager's live copy."""
-        self._note("push")
+        self.counts["push"] += 1
         shadow = self._push_shadow(manager)
         windows = tuple(tuple(w) for w in program.windows)
         for start, count in windows:
@@ -643,7 +641,7 @@ class CheckContext:
         """Hook before every backend read/write a pushdown program issues
         (runs *before* the interpreter's own ``admits`` gate, so either
         enforcement point catches the removal of the other)."""
-        self._note("push")
+        self.counts["push"] += 1
         shadow = self._push_shadow(manager).get(key)
         if shadow is None:
             self._fail("push",

@@ -15,8 +15,8 @@ from typing import Any, Iterator, Optional
 
 from .spans import IOSpan, SpanLog
 
-__all__ = ["Counter", "Gauge", "Histogram", "NullHistogram", "MetricsRegistry",
-           "OBS_MODES"]
+__all__ = ["Counter", "SummedCounter", "Gauge", "Histogram", "NullHistogram",
+           "MetricsRegistry", "OBS_MODES"]
 
 #: supported observability modes, cheapest last
 OBS_MODES = ("full", "sampled", "counters")
@@ -51,6 +51,32 @@ class Counter:
         if amount < 0:
             raise ValueError(f"counter {self.name} cannot decrease")
         self.value += amount
+
+
+class SummedCounter:
+    """A read-only counter whose value is the live sum of integer entries
+    in other owners' count dicts.
+
+    An owner that counts on a hot path bumps its own dict entry in place,
+    which costs no call where :meth:`Counter.inc` costs one per event;
+    :meth:`track` registers the entry, so the registry still reads the
+    total over every owner sharing the name.
+    """
+
+    __slots__ = ("name", "labels", "_entries")
+
+    def __init__(self, name: str, labels: tuple[tuple[str, str], ...] = ()):
+        self.name = name
+        self.labels = labels
+        self._entries: list[tuple[dict, str]] = []
+
+    def track(self, counts: dict, key: str) -> None:
+        """Add ``counts[key]`` to the sum."""
+        self._entries.append((counts, key))
+
+    @property
+    def value(self) -> int:
+        return sum(counts[key] for counts, key in self._entries)
 
 
 class Gauge:
@@ -244,10 +270,17 @@ class MetricsRegistry:
         if metric is None:
             metric = cls(name, key[2])
             self._metrics[key] = metric
+        elif type(metric) is not cls:
+            # a Counter and a SummedCounter share the "counter" kind
+            raise TypeError(f"{kind} {name!r}{dict(key[2])} is a "
+                            f"{type(metric).__name__}, not a {cls.__name__}")
         return metric
 
     def counter(self, name: str, **labels: str) -> Counter:
         return self._get("counter", Counter, name, labels)
+
+    def summed_counter(self, name: str, **labels: str) -> SummedCounter:
+        return self._get("counter", SummedCounter, name, labels)
 
     def gauge(self, name: str, **labels: str) -> Gauge:
         return self._get("gauge", Gauge, name, labels)

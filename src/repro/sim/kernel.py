@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from heapq import heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
@@ -152,7 +153,8 @@ class Event:
         else:
             if delay < 0:
                 raise SimulationError(f"cannot schedule into the past (delay={delay})")
-            sim._insert(sim.now + int(delay), self)
+            sim._seq = seq = sim._seq + 1
+            heappush(sim._heap, (sim.now + int(delay), seq, self))
         return self
 
     def fail(self, exc: Any, delay: int = 0) -> "Event":
@@ -177,7 +179,8 @@ class Event:
         else:
             if delay < 0:
                 raise SimulationError(f"cannot schedule into the past (delay={delay})")
-            sim._insert(sim.now + int(delay), self)
+            sim._seq = seq = sim._seq + 1
+            heappush(sim._heap, (sim.now + int(delay), seq, self))
         return self
 
     def cancel(self) -> None:
@@ -234,7 +237,8 @@ class Timeout(Event):
             self._seq = seq
             sim._nowq.append(self)
         else:
-            sim._insert(sim.now + int(delay), self)
+            sim._seq = seq = sim._seq + 1
+            heappush(sim._heap, (sim.now + int(delay), seq, self))
 
     @property
     def delay(self) -> int:
@@ -509,7 +513,8 @@ class Simulator:
                 t._seq = seq
                 self._nowq.append(t)
             else:
-                self._insert(self.now + int(delay), t)
+                self._seq = seq = self._seq + 1
+                heappush(self._heap, (self.now + int(delay), seq, t))
             return t
         return Timeout(self, delay, value)
 
@@ -558,10 +563,6 @@ class Simulator:
         return AllOf(self, events)
 
     # -- scheduling --------------------------------------------------------
-    def _insert(self, when: int, event: Event) -> None:
-        self._seq = seq = self._seq + 1
-        heapq.heappush(self._heap, (when, seq, event))
-
     def _pop_next(self) -> Optional[Event]:
         """The next live event in (time, seq) order, advancing the
         clock; None when nothing is scheduled.  Defunct events are

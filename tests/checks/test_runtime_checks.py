@@ -1,8 +1,11 @@
 """CheckContext unit tests: binding, coverage, and violation detection."""
 
+import json
+
 import pytest
 
 from repro.checks import CHECKER_NAMES, CheckContext, InvariantViolation, resolve_checks
+from repro.cli import main
 from repro.core.lba_mapping import MappingEntry, MappingTable
 from repro.host.memory import PAGE_SIZE, BufferPool, HostMemory
 from repro.nvme import CQE, SQE, CompletionQueue, SubmissionQueue
@@ -68,6 +71,45 @@ def test_counts_flow_into_obs_counters():
     assert ctx.summary() == {"ring": 2}
     ((labels, counter),) = obs.counters("invariant_checks").items()
     assert counter.value == 2 and dict(labels)["checker"] == "ring"
+
+
+def test_contexts_sharing_a_registry_count_only_their_own_hooks():
+    obs = MetricsRegistry()
+    first = CheckContext(checkers=["ring"], obs=obs)
+    second = CheckContext(checkers=["ring", "kernel"], obs=obs)
+    sim, mem = make_mem()
+    sq1 = SubmissionQueue(mem, mem.alloc(8 * 64), 8, sqid=1)
+    sq2 = SubmissionQueue(mem, mem.alloc(8 * 64), 8, sqid=2)
+    first.bind_ring(sq1)
+    second.bind_ring(sq2)
+    second.bind_sim(sim)
+    for cid in range(3):
+        sq1.push(SQE(opcode=2, cid=cid, nsid=1))
+    sq1.consume_addr()
+    sq2.push(SQE(opcode=2, cid=0, nsid=1))
+    sim.timeout(5)
+    sim.timeout(0)
+    sim.run()
+    assert first.summary() == {"ring": 4}
+    assert second.summary() == {"ring": 1, "kernel": 2}
+    # the registry counter is the sum over every context bound to it
+    totals = {dict(labels)["checker"]: counter.value
+              for labels, counter in obs.counters("invariant_checks").items()}
+    assert totals == {"ring": 5, "kernel": 2}
+
+
+#: ``repro check --case rand-r-1 --seed 7 --json`` coverage: a hook that
+#: stops counting itself, or counts twice, moves one of these
+RAND_R_1_COVERAGE = {"kernel": 86490, "lba": 1697, "prp": 4989, "push": 3,
+                     "qos": 8, "ring": 13304}
+
+
+def test_check_cli_coverage_counts_are_pinned(capsys, monkeypatch):
+    monkeypatch.delenv("REPRO_TIME_SCALE", raising=False)
+    assert main(["check", "--case", "rand-r-1", "--seed", "7", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload["violation"] is None
+    assert payload["coverage"] == RAND_R_1_COVERAGE
 
 
 def test_bind_respects_checker_subset():

@@ -32,6 +32,26 @@ def test_registry_get_or_create_is_keyed_by_name_and_labels():
     assert by_label[(("ns", "vol1"),)].value == 1
 
 
+def test_summed_counter_reads_tracked_entries_live():
+    reg = MetricsRegistry()
+    first, second = {"ring": 0}, {"ring": 5}
+    total = reg.summed_counter("checks", checker="ring")
+    total.track(first, "ring")
+    reg.summed_counter("checks", checker="ring").track(second, "ring")
+    first["ring"] += 2
+    assert reg.counters("checks")[(("checker", "ring"),)].value == 7
+
+
+def test_counter_and_summed_counter_never_share_a_name():
+    reg = MetricsRegistry()
+    reg.counter("ops", ns="vol0")
+    with pytest.raises(TypeError):
+        reg.summed_counter("ops", ns="vol0")
+    reg.summed_counter("checks")
+    with pytest.raises(TypeError):
+        reg.counter("checks")
+
+
 def test_gauge_tracks_point_in_time_value():
     reg = MetricsRegistry()
     g = reg.gauge("depth", q="0")

@@ -1,8 +1,12 @@
 """Span tracing: IOSpan/SpanLog units plus end-to-end stamping through
 the simulated BM-Store datapath (the Fig. 6 stages)."""
 
+import random
+
+import pytest
 
 from repro.obs import STAGES, IOSpan, MetricsRegistry, SpanLog
+from repro.obs.spans import STAMP_ORDER
 from repro.sim.units import MS
 from repro.workloads.fio import FioSpec
 
@@ -35,6 +39,66 @@ def test_span_restamp_keeps_latest():
     span.stamp("ssd_dma", 10)
     span.stamp("ssd_dma", 30)  # e.g. multi-extent fan-out, last fragment
     assert span.get("ssd_dma") == 30
+
+
+def _sorted_stamps(span):
+    """The stamp order as a key sort: datapath index, then time, with
+    unknown stages after every known one (the ordered_stamps contract)."""
+    index = {stage: i for i, stage in enumerate(STAMP_ORDER)}
+    return sorted(span.stamps.items(),
+                  key=lambda kv: (index.get(kv[0], len(STAMP_ORDER)), kv[1]))
+
+
+def _sorted_deltas(span):
+    ordered = _sorted_stamps(span)
+    return [(stage, t - ordered[i - 1][1])
+            for i, (stage, t) in enumerate(ordered) if i > 0]
+
+
+def _shuffled_span(seed, extra=()):
+    rng = random.Random(seed)
+    stamps = [(stage, rng.randrange(0, 500)) for stage in STAMP_ORDER
+              if rng.random() < 0.8]
+    stamps += list(extra)
+    rng.shuffle(stamps)
+    span = IOSpan("write")
+    for stage, t in stamps:
+        span.stamp(stage, t)
+    return span
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_ordered_stamps_match_key_sort_for_any_insertion_order(seed):
+    span = _shuffled_span(seed)
+    assert span.ordered_stamps() == _sorted_stamps(span)
+    assert span.stage_deltas() == _sorted_deltas(span)
+
+
+def test_ordered_stamps_match_key_sort_after_restamps():
+    span = IOSpan("read")
+    for t, stage in enumerate(("complete", "submit", "qos", "fetch")):
+        span.stamp(stage, 100 + t)
+    span.stamp("submit", 400)  # re-stamped: keeps its first insertion slot
+    span.stamp("qos", 5)
+    assert span.ordered_stamps() == _sorted_stamps(span)
+    assert span.ordered_stamps()[0] == ("submit", 400)
+    assert span.stage_deltas() == _sorted_deltas(span)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_unknown_stages_come_last_by_time_ties_in_stamp_order(seed):
+    extra = [("zz_retry", 70), ("aa_probe", 70), ("mid", 10), ("late", 900),
+             ("aa_tie", 70)]
+    span = _shuffled_span(seed, extra)
+    ordered = span.ordered_stamps()
+    assert ordered == _sorted_stamps(span)
+    assert span.stage_deltas() == _sorted_deltas(span)
+    tail = ordered[-len(extra):]
+    assert [stage for stage, _ in tail][0] == "mid"
+    assert tail[-1] == ("late", 900)
+    ties = [stage for stage, t in tail if t == 70]
+    assert ties == [stage for stage in span.stamps if stage in
+                    ("zz_retry", "aa_probe", "aa_tie")]
 
 
 def test_span_total_is_submit_to_interrupt():
