@@ -1,7 +1,6 @@
 """Comparison schemes: native, VFIO, SPDK vhost, and rig builders."""
 
 from .features import FEATURE_COLUMNS, SCHEMES, SchemeProperties, feature_matrix
-from .mdev import MDevConfig, MDevNVMeTarget, MDevVirtualDisk
 from .registry import SCHEME_DEFS, SchemeDef, runnable_schemes, scheme_def, table1_schemes
 from .native import NATIVE_SCHEME
 from .rigs import (
@@ -27,9 +26,6 @@ __all__ = [
     "runnable_schemes",
     "scheme_def",
     "table1_schemes",
-    "MDevConfig",
-    "MDevNVMeTarget",
-    "MDevVirtualDisk",
     "NATIVE_SCHEME",
     "BMStoreRig",
     "NativeRig",

@@ -342,7 +342,6 @@ def run_case(
     kernel: KernelProfile = DEFAULT_KERNEL,
     obs: Optional[MetricsRegistry] = None,
     obs_mode: str = "full",
-    span_sample: int = 16,
     checks: Any = None,
     policy: Any = None,
     **scheme_kwargs: Any,
@@ -351,14 +350,16 @@ def run_case(
 
     ``obs`` is attached to every instrumented layer of that world (pass
     your own registry to control span capacity, or let this create
-    one).  ``obs_mode``/``span_sample`` configure the created registry
-    ("full", "sampled", or "counters" — see
-    :class:`~repro.obs.MetricsRegistry`) and are ignored when ``obs``
-    is supplied.  ``checks`` arms runtime invariant checkers ("all", a
-    comma list of checker names, a :class:`~repro.checks.CheckContext`,
-    or ``None`` to follow the ``REPRO_CHECKS`` environment variable —
-    see :func:`~repro.checks.resolve_checks`); the armed context rides
-    back on ``CaseResult.checks``.  ``policy`` is a
+    one).  ``obs_mode`` picks the created registry's mode ("full",
+    "sampled" at the registry's default rate, or "counters" — see
+    :class:`~repro.obs.MetricsRegistry`) and is ignored when ``obs`` is
+    supplied; for another sample rate, pass a sampled registry built
+    with that rate as ``obs``.  ``checks`` arms runtime invariant
+    checkers ("all", a comma list of checker names, a
+    :class:`~repro.checks.CheckContext`, or ``None`` to follow the
+    ``REPRO_CHECKS`` environment variable — see
+    :func:`~repro.checks.resolve_checks`); the armed context rides back
+    on ``CaseResult.checks``.  ``policy`` is a
     :class:`~repro.host.policy.SubmissionPolicy` (or its string
     spelling, e.g. ``"shadow"`` or ``"batched:16"``) selecting the
     doorbell mode, CQE coalescing, and engine DMA model; ``None`` is
@@ -374,7 +375,7 @@ def run_case(
         raise ValueError(f"unknown scheme {scheme!r} (known: {known})")
     pol = resolve_policy(policy)
     if obs is None:
-        obs = MetricsRegistry(mode=obs_mode, span_sample=span_sample)
+        obs = MetricsRegistry(mode=obs_mode)
     ctx = resolve_checks(checks, obs)
     # pass False (not None) when disarmed so builders don't re-consult
     # the environment and arm a second, unreported context

@@ -54,7 +54,6 @@ class FleetRunConfig:
     activation_s: float = 0.08      # firmware activation (paper full: 6.5)
     fw_version: str = "FW-NEXT"
     fault_wave: int = 0             # armed preset fires mid this wave
-    obs_mode: str = "counters"
     #: control-plane reaction to a surprise hot-removal: ``"none"``
     #: (report-only evacuation plan, the legacy behavior), ``"drain"``
     #: (stop the tenants, cold-copy, serve from the destination), or
@@ -257,7 +256,6 @@ def run_fleet(
             fw_version=config.fw_version,
             faults=armed,
             fault_at_ns=fault_at_ns,
-            obs_mode=config.obs_mode,
             migrate_out=tuple(migrate_out.get(server.name, ())),
             migrate_in=tuple(migrate_in.get(server.name, ())),
         ))

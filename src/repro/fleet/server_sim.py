@@ -63,7 +63,6 @@ class ServerRunSpec:
     fw_version: str = "FW-NEXT"
     faults: str | None = None        # preset name, armed shifted to fault_at_ns
     fault_at_ns: int = 0
-    obs_mode: str = "counters"
     #: tenants scheduled to leave this server (MigrationPlan tuple)
     migrate_out: tuple = ()
     #: tenants scheduled to arrive here (MigrationArrival tuple)
@@ -106,7 +105,7 @@ def run_server(spec: ServerRunSpec) -> dict:
     and sequential fleet runs must serialize identically.
     """
     plan = shifted_preset(spec.faults, spec.fault_at_ns) if spec.faults else None
-    obs = MetricsRegistry(mode=spec.obs_mode)
+    obs = MetricsRegistry(mode="counters")
     rig = build_bmstore(num_ssds=spec.num_ssds, seed=spec.seed, obs=obs,
                         faults=plan)
     sim = rig.sim

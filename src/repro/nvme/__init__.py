@@ -16,7 +16,6 @@ from .spec import (
     StatusCode,
 )
 from .ssd import DEFAULT_FIRMWARE, NVMeSSD, SSDStats
-from .zns import ZNS_STATUS, Zone, ZNSConfig, ZNSSSD, ZoneSendAction, ZoneState
 
 __all__ = [
     "CQE",
@@ -45,10 +44,4 @@ __all__ = [
     "DEFAULT_FIRMWARE",
     "NVMeSSD",
     "SSDStats",
-    "ZNS_STATUS",
-    "Zone",
-    "ZNSConfig",
-    "ZNSSSD",
-    "ZoneSendAction",
-    "ZoneState",
 ]

@@ -15,17 +15,20 @@ Timing model per transaction:
 * read:           request header on tx, target access time, completion
   payload on the target->initiator path
 
-CPU-initiated MMIO (doorbells, register reads) uses :meth:`cpu_write`
-/ :meth:`cpu_read`, which traverse only the target port's rx/tx links.
+CPU-initiated MMIO uses :meth:`cpu_post` for doorbell writes and
+:meth:`cpu_read` for register reads; both traverse only the target
+port's rx/tx links.
 
 Writes come in two forms with the same link reservations and delivery
 time.  A *posted* write (:meth:`Port.post_write`,
 :meth:`PCIeFabric.cpu_post`) is what PCIe memory writes are on the
 wire -- doorbells, MSI-X messages, DMA data: the sender gets no
 completion back, so the model schedules no completion event either.
-A *waited* write (:meth:`Port.mem_write`, :meth:`PCIeFabric.cpu_write`)
-returns an event that fires on delivery, for the callers whose next
-step must not start before the bytes land (a CQE behind its data).
+A *waited* write (:meth:`Port.mem_write`) returns an event that fires
+on delivery, for the callers whose next step must not start before the
+bytes land (a CQE behind its data).  :meth:`PCIeFabric.cpu_write` is
+the waited form of an MMIO write; no datapath waits on one, and it
+stays as the reference the fabric tests compare posting against.
 """
 
 from __future__ import annotations

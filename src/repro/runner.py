@@ -50,7 +50,6 @@ class RunSpec:
     seed: int = 7
     faults: Optional[str] = None
     obs_mode: str = "full"
-    span_sample: int = 16
     checks: Optional[str] = None
     policy: Optional[str] = None
     scheme_kwargs: dict = field(default_factory=dict)
@@ -100,8 +99,8 @@ def run_one(spec: RunSpec) -> dict[str, Any]:
     gc.disable()
     try:
         case = run_case(spec.scheme, fio_spec, seed=spec.seed,
-                        obs_mode=spec.obs_mode, span_sample=spec.span_sample,
-                        checks=spec.checks, policy=spec.policy, **kwargs)
+                        obs_mode=spec.obs_mode, checks=spec.checks,
+                        policy=spec.policy, **kwargs)
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -158,7 +157,6 @@ def run_grid(
     seed: int = 7,
     faults: Optional[str] = None,
     obs_mode: str = "full",
-    span_sample: int = 16,
     checks: Optional[str] = None,
     policy: Optional[str] = None,
     workers: Optional[int] = None,
@@ -168,8 +166,8 @@ def run_grid(
     adjacent; returns payload dicts in grid order."""
     specs = [
         RunSpec(scheme=scheme, case=case, seed=seed, faults=faults,
-                obs_mode=obs_mode, span_sample=span_sample, checks=checks,
-                policy=policy, scheme_kwargs=dict(scheme_kwargs))
+                obs_mode=obs_mode, checks=checks, policy=policy,
+                scheme_kwargs=dict(scheme_kwargs))
         for case in cases
         for scheme in schemes
     ]

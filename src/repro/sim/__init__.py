@@ -22,7 +22,7 @@ from .kernel import (
 )
 from .random import RandomStream, StreamFactory
 from .resources import BandwidthLink, Resource, Store, TokenBucket
-from .tracing import SeriesRecorder, Trace, TraceEvent
+from .tracing import SeriesRecorder
 from . import units
 
 __all__ = [
@@ -41,7 +41,5 @@ __all__ = [
     "Store",
     "TokenBucket",
     "SeriesRecorder",
-    "Trace",
-    "TraceEvent",
     "units",
 ]

@@ -1,79 +1,17 @@
-"""Lightweight tracing / statistics collection for simulation runs.
+"""Time-series collection for simulation runs.
 
-A :class:`Trace` records (time, category, payload) tuples; a
-:class:`SeriesRecorder` bins a counter into fixed windows to produce
+A :class:`SeriesRecorder` bins a counter into fixed windows to produce
 time series (used e.g. for the hot-upgrade IOPS timeline of Fig. 15).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Optional
 
 from .kernel import Simulator
 
-__all__ = ["TraceEvent", "Trace", "SeriesRecorder"]
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    """One recorded trace entry: time, category, payload."""
-    time_ns: int
-    category: str
-    payload: Any = None
-
-
-class Trace:
-    """An append-only event log, filterable by category.
-
-    Events are indexed per category as they arrive, so ``select`` and
-    ``count`` cost O(matches) / O(1) instead of a scan of everything
-    ever recorded.  ``max_events`` optionally bounds the log: when full,
-    the oldest event is evicted (from the log and its category index)
-    and ``dropped`` counts the evictions.
-    """
-
-    def __init__(self, sim: Simulator, enabled: bool = True,
-                 max_events: Optional[int] = None):
-        if max_events is not None and max_events <= 0:
-            raise ValueError(f"max_events must be positive, got {max_events}")
-        self.sim = sim
-        self.enabled = enabled
-        self.max_events = max_events
-        self.dropped = 0
-        self._events: deque[TraceEvent] = deque()
-        self._by_category: dict[str, deque[TraceEvent]] = {}
-
-    @property
-    def events(self) -> list[TraceEvent]:
-        """Every retained event, oldest first (a copy)."""
-        return list(self._events)
-
-    def record(self, category: str, payload: Any = None) -> None:
-        if not self.enabled:
-            return
-        if self.max_events is not None and len(self._events) >= self.max_events:
-            oldest = self._events.popleft()
-            self._by_category[oldest.category].popleft()
-            self.dropped += 1
-        ev = TraceEvent(self.sim.now, category, payload)
-        self._events.append(ev)
-        self._by_category.setdefault(category, deque()).append(ev)
-
-    def select(self, category: str) -> list[TraceEvent]:
-        return list(self._by_category.get(category, ()))
-
-    def count(self, category: str) -> int:
-        return len(self._by_category.get(category, ()))
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def clear(self) -> None:
-        self._events.clear()
-        self._by_category.clear()
-        self.dropped = 0
+__all__ = ["SeriesRecorder"]
 
 
 @dataclass

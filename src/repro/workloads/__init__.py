@@ -3,14 +3,6 @@
 from .fio import TABLE_IV_CASES, FioResult, FioRun, FioSpec, run_fio
 from .sysbench import SysbenchResult, SysbenchRun, SysbenchSpec, run_sysbench
 from .tpcc import TPCC_TABLES, TPCCResult, TPCCRun, TPCCSpec, run_tpcc
-from .trace import (
-    TRACE_PROFILES,
-    TraceProfile,
-    TraceRecord,
-    TraceResult,
-    generate_trace,
-    replay_trace,
-)
 from .ycsb import YCSB_WORKLOADS, YCSBResult, YCSBRun, YCSBSpec, run_ycsb
 
 __all__ = [
@@ -28,12 +20,6 @@ __all__ = [
     "TPCCRun",
     "TPCCSpec",
     "run_tpcc",
-    "TRACE_PROFILES",
-    "TraceProfile",
-    "TraceRecord",
-    "TraceResult",
-    "generate_trace",
-    "replay_trace",
     "YCSB_WORKLOADS",
     "YCSBResult",
     "YCSBRun",

@@ -79,6 +79,27 @@ def test_counters_obs_mode_drops_spans_but_keeps_measurement():
     assert full["snapshot"]["spans"]["recorded"] > 0
 
 
+def test_sampled_registry_via_obs_keeps_measurement():
+    """A non-default sample rate goes through ``obs=``, not a kwarg."""
+    from repro.experiments import quick_cases, run_case
+    from repro.obs import MetricsRegistry
+
+    (spec,) = quick_cases(["rand-r-1"])
+    full = run_case("bmstore", spec)
+    sampled = run_case("bmstore", spec,
+                       obs=MetricsRegistry(mode="sampled", span_sample=4))
+    assert sampled.fio.ios == full.fio.ios
+    assert sampled.iops == full.iops
+    assert sampled.avg_latency_us == full.avg_latency_us
+    assert sampled.latency.p99_us == full.latency.p99_us
+    assert sampled.fio.sim_events == full.fio.sim_events
+    assert sampled.snapshot["span_sample"] == 4
+    # one span per four commands: ticks 1, 5, 9, ... of the full count
+    every = full.snapshot["spans"]["recorded"]
+    assert every > 0
+    assert sampled.snapshot["spans"]["recorded"] == -(-every // 4)
+
+
 def test_parallel_map_inline_for_one_worker():
     assert parallel_map(len, ["ab", "c"], workers=1) == [2, 1]
 
